@@ -23,8 +23,8 @@
 //!   *before* acking an `observe`, so failover serves every acked
 //!   sighting with the owner's exact version numbering.
 //! - [`harness`]: an **orchestration harness** that launches a real
-//!   N-process cluster from a [`topology::Topology`] spec, drives
-//!   mixed traffic, polls `node_info` on every shard, and asserts the
+//!   N-process cluster from a [`topology::Topology`] spec, routes
+//!   traffic, polls `node_info` on every shard, and asserts the
 //!   cluster invariants (no acked observation lost after SIGKILL,
 //!   version monotonicity across failover). A topology with a
 //!   [`topology::ChaosSpec`] gets a seeded `pager-chaos` fault proxy
@@ -35,8 +35,9 @@
 //!   profile-version regression on served plans, epoch convergence
 //!   after heal, deadline honesty under blackhole).
 //!
-//! The `pager-cluster` binary wraps the router in a TCP front end
-//! (`launch`) and the harness in a throughput baseline (`bench`).
+//! The `pager-cluster` binary (`launch`) serves the router over TCP
+//! through the same connection engine as `pager-serve` (the router
+//! implements `pager_service::reactor_server::Handler`; Linux only).
 
 #![warn(missing_docs)]
 
@@ -48,7 +49,7 @@ pub mod ship;
 pub mod topology;
 pub mod wire;
 
-pub use harness::{Cluster, HarnessConfig, TrafficReport};
+pub use harness::{Cluster, HarnessConfig};
 pub use invariants::{check_under_schedule, CheckConfig, InvariantReport};
 pub use ring::{ArcMove, RebalancePlan, ShardMap};
 pub use router::{BackendSpec, Router, RouterConfig, RouterOutcome, ShardSpec};

@@ -32,9 +32,6 @@ pub struct Topology {
     pub wal_retain: u64,
     /// Sightings between checkpoints (0 = never checkpoint).
     pub checkpoint_every: u64,
-    /// Connection transport every node serves with: `"reactor"`
-    /// (epoll event loop) or `"threads"` (thread per connection).
-    pub transport: String,
     /// Optional network fault injection: when set, the harness routes
     /// every router→node link through a seeded chaos proxy.
     pub chaos: Option<ChaosSpec>,
@@ -86,7 +83,6 @@ impl Default for Topology {
             queue_depth: 256,
             wal_retain: 8,
             checkpoint_every: 0,
-            transport: "reactor".to_string(),
             chaos: None,
         }
     }
@@ -125,7 +121,6 @@ impl Topology {
             ("queue_depth", Value::Int(self.queue_depth as i64)),
             ("wal_retain", Value::Int(self.wal_retain as i64)),
             ("checkpoint_every", Value::Int(self.checkpoint_every as i64)),
-            ("transport", Value::from(self.transport.as_str())),
         ];
         if let Some(chaos) = &self.chaos {
             fields.push(("chaos", chaos.to_json()));
@@ -159,17 +154,6 @@ impl Topology {
                     t.checkpoint_every = v.as_u64().ok_or_else(|| {
                         "checkpoint_every must be a non-negative integer".to_string()
                     })?;
-                }
-                "transport" => {
-                    let name = v
-                        .as_str()
-                        .ok_or_else(|| "transport must be a string".to_string())?;
-                    if name != "reactor" && name != "threads" {
-                        return Err(format!(
-                            "transport must be \"reactor\" or \"threads\", got {name:?}"
-                        ));
-                    }
-                    t.transport = name.to_string();
                 }
                 "chaos" => t.chaos = Some(ChaosSpec::from_json(v)?),
                 other => return Err(format!("unknown topology field {other:?}")),
@@ -206,7 +190,6 @@ mod tests {
             queue_depth: 32,
             wal_retain: 3,
             checkpoint_every: 100,
-            transport: "threads".to_string(),
             chaos: None,
         };
         let back = Topology::from_json(&t.to_json()).expect("round trip");
@@ -246,12 +229,8 @@ mod tests {
         let t = Topology::parse("{\"shards\": 2}").expect("partial spec");
         assert_eq!(t.shards, 2);
         assert_eq!(t.replicas, Topology::default().replicas);
-        assert_eq!(t.transport, "reactor", "reactor is the default");
-        let threaded = Topology::parse("{\"transport\": \"threads\"}").expect("threads spec");
-        assert_eq!(threaded.transport, "threads");
         assert!(Topology::parse("{\"shards\": 0}").is_err());
         assert!(Topology::parse("{\"warp\": 9}").is_err());
-        assert!(Topology::parse("{\"transport\": \"carrier-pigeon\"}").is_err());
         assert!(Topology::parse("[1,2]").is_err());
     }
 }

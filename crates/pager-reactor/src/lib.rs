@@ -24,8 +24,7 @@
 //!   yielding readiness events, fired timers and drained completions.
 //!
 //! Everything is `#[cfg(target_os = "linux")]`; on other platforms the
-//! crate compiles to an empty shell and callers fall back to the
-//! threaded transport ([`supported`] reports which world you are in).
+//! crate compiles to an empty shell and TCP serving is unavailable.
 
 #[cfg(target_os = "linux")]
 pub mod poller;
@@ -50,8 +49,3 @@ pub use reactor::{Reactor, Turn, WAKER_TOKEN};
 pub use timer::{TimerId, TimerWheel};
 #[cfg(target_os = "linux")]
 pub use waker::Waker;
-
-/// Whether the reactor transport is available on this platform.
-pub const fn supported() -> bool {
-    cfg!(target_os = "linux")
-}

@@ -35,11 +35,16 @@
 //!   devices stream in sightings and plans are requested by device
 //!   *name*; profile versions join the cache key so an update can
 //!   never be answered with a strategy planned from older data.
-//! * **Wire protocol** ([`proto`], [`server`], [`reactor_server`]) —
-//!   the typed [`pager_wire`] request/response surface in both its
-//!   encodings, v1 JSON lines and v2 binary frames (detected per
-//!   message; see `docs/wire.md`), served over TCP or stdio by the
-//!   `pager-serve` binary.
+//! * **Wire protocol** ([`proto`], [`server`]) — the typed
+//!   [`pager_wire`] request/response surface in both its encodings,
+//!   v1 JSON lines and v2 binary frames (detected per message; see
+//!   `docs/wire.md`), served over stdio ([`serve_lines`]) or TCP by
+//!   the `pager-serve` binary.
+//! * **Connection engine** ([`reactor_server`], Linux only) — the
+//!   epoll event loop behind every TCP front end. It is generic over
+//!   a [`reactor_server::Handler`]: [`PagerService`] is one, and the
+//!   `pager-cluster` router is another. TCP serving needs epoll, so
+//!   it is not available on other platforms.
 //!
 //! ```
 //! use pager_core::{Delay, Instance};
@@ -73,7 +78,7 @@ pub use planner::{plan, Plan, Tier, TierPolicy, Variant, RETRY_AFTER_MS};
 pub use proto::{handle_frame, handle_line, parse_request, LineOutcome, Request};
 #[cfg(target_os = "linux")]
 pub use reactor_server::{serve_reactor, serve_reactor_with, ReactorConfig, ReactorHandle};
-pub use server::{serve_lines, serve_tcp, ServerHandle};
+pub use server::serve_lines;
 pub use service::{
     DevicePlanResponse, DurabilityOptions, PagerService, PlanKey, PlanResponse, PlanSpec,
     ServiceConfig, WalApplyOutcome,

@@ -117,8 +117,6 @@ pub struct Metrics {
     /// Jobs currently sitting in the bounded admission queue (gauge:
     /// incremented on enqueue, decremented on dequeue).
     pub queue_depth: AtomicU64,
-    /// Cache entries evicted to make room.
-    pub evictions: AtomicU64,
     /// Sightings ingested into the profile store (mirrors the store's
     /// own counter; synced on every `observe`).
     pub sightings_ingested: AtomicU64,
@@ -142,8 +140,7 @@ pub struct Metrics {
     /// Degraded-mode gauge: 1 after a data-disk failure (observes are
     /// refused, planning keeps serving), 0 otherwise.
     pub degraded: AtomicU64,
-    /// Open connections on the reactor transport (gauge; stays 0
-    /// under the threaded transport).
+    /// Open TCP connections on the connection engine (gauge).
     pub reactor_connections: AtomicU64,
     /// Reactor timer-wheel watchdog firings: a request whose deadline
     /// elapsed while it was still awaiting its solver. Telemetry only
@@ -213,8 +210,9 @@ impl Metrics {
     }
 
     /// Full snapshot as a JSON object (the `--metrics-json` /
-    /// `{"cmd":"metrics"}` payload).
-    pub fn to_json(&self) -> Value {
+    /// `{"cmd":"metrics"}` payload). `cache_evictions` is the strategy
+    /// cache's own counter, rendered as `evictions`.
+    pub fn to_json(&self, cache_evictions: u64) -> Value {
         Value::object(vec![
             ("requests", Value::from(Self::get(&self.requests))),
             ("cache_hits", Value::from(Self::get(&self.cache_hits))),
@@ -231,7 +229,7 @@ impl Metrics {
                 Value::from(Self::get(&self.deadline_misses)),
             ),
             ("queue_depth", Value::from(Self::get(&self.queue_depth))),
-            ("evictions", Value::from(Self::get(&self.evictions))),
+            ("evictions", Value::from(cache_evictions)),
             (
                 "sightings_ingested",
                 Value::from(Self::get(&self.sightings_ingested)),
@@ -300,7 +298,7 @@ mod tests {
         Metrics::inc(&m.requests);
         Metrics::inc(&m.cache_hits);
         m.greedy_latency.record(42);
-        let json = m.to_json();
+        let json = m.to_json(3);
         assert_eq!(json.get("requests").and_then(Value::as_u64), Some(1));
         assert_eq!(json.get("cache_hits").and_then(Value::as_u64), Some(1));
         assert_eq!(json.get("cache_misses").and_then(Value::as_u64), Some(0));
@@ -311,6 +309,7 @@ mod tests {
             Some(0)
         );
         assert_eq!(json.get("queue_depth").and_then(Value::as_u64), Some(0));
+        assert_eq!(json.get("evictions").and_then(Value::as_u64), Some(3));
         for field in [
             "wal_appends",
             "wal_fsyncs",

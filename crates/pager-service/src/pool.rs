@@ -33,9 +33,9 @@ pub(crate) type PlanResult = Result<Arc<Plan>, ServiceError>;
 
 /// How one subscriber wants its result delivered.
 ///
-/// The threaded transport parks in `Receiver::recv`, so it subscribes
-/// a channel. The reactor transport must never block a shard thread,
-/// so it subscribes a callback which the worker (or the shedding
+/// A blocking caller ([`crate::PagerService::plan`]) parks in
+/// `Receiver::recv`, so it subscribes a channel. The connection
+/// engine must never block a shard thread, so it subscribes a callback which the worker (or the shedding
 /// submitter) invokes exactly once; the callback typically posts a
 /// completion to the shard's queue.
 pub(crate) enum Waiter {
@@ -180,8 +180,8 @@ impl Dispatcher {
         Ok((result_rx, coalesced))
     }
 
-    /// [`Dispatcher::submit`] with an explicit [`Waiter`]: the reactor
-    /// transport subscribes callbacks here so no thread ever blocks on
+    /// [`Dispatcher::submit`] with an explicit [`Waiter`]: the
+    /// connection engine subscribes callbacks here so no thread ever blocks on
     /// the result. Returns whether the waiter coalesced onto in-flight
     /// work.
     ///

@@ -18,9 +18,9 @@
 //!   ([`PagerService::plan_cache_probe`]); a steady-state cache hit is
 //!   answered without a single heap allocation.
 //!
-//! Both transports ([`crate::server`], [`crate::reactor_server`])
-//! funnel through these functions, so the two transports answer
-//! byte-identically by construction.
+//! Both fronts — `--stdio` ([`crate::server::serve_lines`]) and TCP
+//! (the service's [`crate::reactor_server::Handler`]) — funnel through
+//! these functions, so they answer byte-identically by construction.
 
 use jsonio::Value;
 use pager_wire::frame::op;
@@ -132,7 +132,7 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> Reply {
     match request {
         Request::Ping if *id == Value::Null => Reply::Typed(Response::Pong),
         Request::Ping => control(vec![("pong", Value::Bool(true))]),
-        Request::Metrics => control(vec![("metrics", service.metrics().to_json())]),
+        Request::Metrics => control(vec![("metrics", service.metrics_json())]),
         Request::Shutdown => control(vec![("stopping", Value::Bool(true))]),
         Request::Observe { cells, sightings } => match service.observe(cells, &sightings) {
             Err(error) => Reply::Line(error_line(service, id, &error)),
@@ -191,7 +191,7 @@ fn respond(service: &PagerService, request: Request, id: &Value) -> Reply {
         }
         Request::Stats => control(vec![
             ("epoch", Value::from(service.epoch())),
-            ("stats", service.metrics().to_json()),
+            ("stats", service.metrics_json()),
         ]),
         Request::Epoch { epoch } => {
             control(vec![("epoch", Value::from(service.adopt_epoch(epoch)))])
@@ -270,7 +270,7 @@ fn error_body<'a>(id: &'a Value, error: &ServiceError, message: &'a str) -> Erro
 }
 
 /// Formats a `plan` answer (success or error) exactly as
-/// [`handle_request`] would. The reactor transport calls this from
+/// [`handle_request`] would. The connection engine calls this from
 /// solver-completion callbacks.
 pub(crate) fn plan_response_line(
     service: &PagerService,
@@ -312,19 +312,18 @@ pub(crate) fn error_line(service: &PagerService, id: &Value, error: &ServiceErro
     json::error_line(service.node_id(), &error_body(id, error, &message))
 }
 
-/// What a v2 frame needs from the transport after the fast paths ran.
+/// What a v2 frame needs from the caller after the fast paths ran.
 ///
 /// [`dispatch_frame`] answers everything it can without blocking —
 /// cache-hit plans, pings, malformed payloads, unknown ops — directly
 /// into the output buffer. The two variants that remain carry the
-/// work an event-loop transport must run elsewhere (and a blocking
-/// transport can just run in place, as [`handle_frame`] does).
+/// work the connection engine must run off its shard thread (and a
+/// blocking caller can just run in place, as [`handle_frame`] does).
 pub(crate) enum FrameDispatch {
     /// `out` now holds the complete response frame; nothing else to do.
     Answered,
     /// A plan frame that missed the cache: solve `instance`/`spec` and
-    /// answer with [`plan_response_frame`] / [`error_frame`], echoing
-    /// `id`.
+    /// answer with [`plan_result_frame`], echoing `id`.
     Solve {
         id: Value,
         instance: pager_core::Instance,
@@ -438,10 +437,7 @@ pub fn handle_frame(
     match dispatch_frame(service, frame_op, payload, out) {
         FrameDispatch::Answered => false,
         FrameDispatch::Solve { id, instance, spec } => {
-            match service.plan(&instance, spec) {
-                Ok(response) => plan_response_frame(service, &id, &response, out),
-                Err(error) => error_frame(service, &id, &error, out),
-            }
+            plan_result_frame(service, &id, &service.plan(&instance, spec), out);
             false
         }
         FrameDispatch::JsonLine(line) => {
@@ -477,19 +473,23 @@ fn encode_cached_plan_frame(
     );
 }
 
-/// Encodes a `plan` answer (success) as a native v2 frame with an
-/// owned id — the slow path and the reactor's async completions.
-pub(crate) fn plan_response_frame(
+/// Encodes a `plan` answer (success or error) as a native v2 frame
+/// with an owned id — the slow path and the reactor's async
+/// completions.
+pub(crate) fn plan_result_frame(
     service: &PagerService,
     id: &Value,
-    response: &PlanResponse,
+    result: &Result<PlanResponse, ServiceError>,
     out: &mut Vec<u8>,
 ) {
-    binary::encode_response(
-        out,
-        service.node_id(),
-        &Response::Plan(plan_body(id, response)),
-    );
+    match result {
+        Ok(response) => binary::encode_response(
+            out,
+            service.node_id(),
+            &Response::Plan(plan_body(id, response)),
+        ),
+        Err(error) => error_frame(service, id, error, out),
+    }
 }
 
 /// Encodes an error answer as a native v2 frame.
@@ -1026,5 +1026,31 @@ mod tests {
         let (op_out, body) = split_one(&out);
         let v = binary::response_to_value(op_out, &body).unwrap();
         assert_eq!(v.get("code").and_then(Value::as_str), Some("unsupported"));
+    }
+
+    #[test]
+    fn metrics_op_reports_cache_evictions() {
+        let svc = PagerService::new(ServiceConfig {
+            workers: 1,
+            capacity: 2,
+            shards: 1,
+            ..ServiceConfig::default()
+        });
+        for i in 1..=5 {
+            let p = f64::from(i) / 10.0;
+            let line = format!(r#"{{"instance": [[{p}, {}]], "delay": 1}}"#, 1.0 - p);
+            let outcome = handle_line(&svc, &line);
+            assert!(
+                outcome.response.contains("\"ok\":true"),
+                "{}",
+                outcome.response
+            );
+        }
+        let metrics = jsonio::parse(&handle_line(&svc, r#"{"cmd": "metrics"}"#).response).unwrap();
+        let evictions = metrics
+            .get("metrics")
+            .and_then(|m| m.get("evictions"))
+            .and_then(Value::as_u64);
+        assert_eq!(evictions, Some(3), "{metrics}");
     }
 }

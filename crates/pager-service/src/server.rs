@@ -1,26 +1,23 @@
-//! Thread-per-connection servers over TCP and stdio.
+//! The service's two fronts: `--stdio` and the TCP connection engine.
 //!
-//! Both fronts speak the [`crate::proto`] wire protocols — v1 JSON
-//! lines and v2 binary frames, selected *per message* by the first
-//! byte ([`pager_wire::frame::split`]) — against one shared
-//! [`PagerService`]. The TCP server accepts on a non-blocking
-//! listener and handles each connection on its own thread; a
-//! `{"cmd": "shutdown"}` line (or [`ServerHandle::stop`]) makes the
-//! accept loop exit.
+//! Both speak the [`crate::proto`] wire protocols — v1 JSON lines and
+//! v2 binary frames, selected *per message* by the first byte
+//! ([`pager_wire::frame::split`]) — against one shared
+//! [`PagerService`].
 //!
-//! Shutdown *drains*: connection threads read with a short timeout so
-//! they notice the stop flag between requests, and every request that
-//! was already being handled is answered before its connection
-//! closes. [`ServerHandle::drain`] blocks until the in-flight count
-//! reaches zero (or a budget expires), so an orderly shutdown drops
-//! nothing that was admitted.
+//! * [`serve_lines`] answers one session over any reader/writer pair,
+//!   one message at a time (`pager-serve --stdio`, in-process tests).
+//! * On Linux, [`PagerService`] is a
+//!   [`Handler`](crate::reactor_server::Handler) for the
+//!   [`crate::reactor_server`] engine, which serves TCP. Cache-hit v2
+//!   plans, pings, control ops and malformed frames are answered on
+//!   the shard thread; cacheable plans go through the service's own
+//!   bounded, coalescing [`PagerService::plan_async`] (shed, deadline
+//!   and `retry_after_ms` semantics untouched); `observe`, WAL
+//!   ship/apply and uncacheable plans may block on disk or a solve
+//!   but must never be shed, so they run on the engine's I/O pool.
 
-use std::io::{BufRead, BufWriter, Read, Write};
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::io::{BufRead, Write};
 
 use jsonio::Value;
 use pager_wire::frame::{self, Split};
@@ -30,158 +27,13 @@ use crate::error::ServiceError;
 use crate::proto::{error_line, handle_frame, handle_line};
 use crate::service::PagerService;
 
-/// How often the accept loop re-checks the stop flag.
-const ACCEPT_POLL: Duration = Duration::from_millis(25);
-
-/// Read timeout on connection sockets: the gap between a peer going
-/// quiet and its thread noticing a stop request.
-const READ_POLL: Duration = Duration::from_millis(50);
-
-/// How often [`ServerHandle::drain`] re-checks the in-flight count.
-const DRAIN_POLL: Duration = Duration::from_millis(5);
-
-/// A running TCP server.
-pub struct ServerHandle {
-    addr: std::net::SocketAddr,
-    stop: Arc<AtomicBool>,
-    accept_thread: Option<JoinHandle<()>>,
-    inflight: Arc<AtomicU64>,
-}
-
-impl ServerHandle {
-    /// The address the listener is bound to (useful with port 0).
-    #[must_use]
-    pub fn local_addr(&self) -> std::net::SocketAddr {
-        self.addr
-    }
-
-    /// Whether the accept loop has been asked to stop.
-    #[must_use]
-    pub fn stopping(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// Requests currently being handled (between reading a line and
-    /// writing its response) across all connections.
-    #[must_use]
-    pub fn inflight(&self) -> u64 {
-        self.inflight.load(Ordering::SeqCst)
-    }
-
-    /// Stops accepting connections and joins the accept thread.
-    /// Threads serving open connections answer every request already
-    /// received (including pipelined ones still in the socket buffer)
-    /// and close once a full read-timeout grace tick passes with no
-    /// further data — closing earlier would RST buffered requests
-    /// *and* discard responses the peer has not read yet.
-    pub fn stop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-
-    /// Orderly shutdown: stops accepting, then waits up to `budget`
-    /// for requests already being handled to finish. Returns the
-    /// number still in flight when it returned — `0` means a clean
-    /// drain with nothing dropped.
-    pub fn drain(&mut self, budget: Duration) -> u64 {
-        self.stop();
-        let deadline = Instant::now() + budget;
-        loop {
-            let pending = self.inflight.load(Ordering::SeqCst);
-            if pending == 0 || Instant::now() >= deadline {
-                return pending;
-            }
-            std::thread::sleep(DRAIN_POLL);
-        }
-    }
-
-    /// Blocks until the accept loop exits (e.g. a client sent
-    /// `{"cmd": "shutdown"}`).
-    pub fn join(&mut self) {
-        if let Some(handle) = self.accept_thread.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ServerHandle {
-    fn drop(&mut self) {
-        self.stop();
-    }
-}
-
-/// Binds `addr` and serves the wire protocol until stopped.
-///
-/// # Errors
-///
-/// An [`std::io::Error`] when the address cannot be bound.
-pub fn serve_tcp<A: ToSocketAddrs>(
-    service: Arc<PagerService>,
-    addr: A,
-) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let addr = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let inflight = Arc::new(AtomicU64::new(0));
-    let accept_stop = Arc::clone(&stop);
-    let accept_inflight = Arc::clone(&inflight);
-    let accept_thread = std::thread::Builder::new()
-        .name("pager-accept".into())
-        .spawn(move || accept_loop(&listener, &service, &accept_stop, &accept_inflight))?;
-    Ok(ServerHandle {
-        addr,
-        stop,
-        accept_thread: Some(accept_thread),
-        inflight,
-    })
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    service: &Arc<PagerService>,
-    stop: &Arc<AtomicBool>,
-    inflight: &Arc<AtomicU64>,
-) {
-    let mut connection_id = 0u64;
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                connection_id += 1;
-                let service = Arc::clone(service);
-                let stop = Arc::clone(stop);
-                let inflight = Arc::clone(inflight);
-                let spawned = std::thread::Builder::new()
-                    .name(format!("pager-conn-{connection_id}"))
-                    .spawn(move || serve_connection(&stream, &service, &stop, &inflight));
-                if spawned.is_err() {
-                    // Out of threads: drop the connection rather than
-                    // the whole server.
-                    continue;
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => {
-                // Transient accept errors (e.g. ECONNABORTED): retry.
-                std::thread::sleep(ACCEPT_POLL);
-            }
-        }
-    }
-}
-
-/// What the buffered messages decided about the connection.
+/// What the buffered messages decided about the session.
 enum Flow {
     /// Keep reading.
     Continue,
-    /// A shutdown request was answered; stop the server.
-    Shutdown,
-    /// The byte stream is unrecoverable (malformed frame); the error
-    /// answer has been written and the connection must close.
-    Close,
+    /// A shutdown request was answered, or the byte stream is
+    /// unrecoverable (a malformed frame was answered): stop.
+    Stop,
 }
 
 /// Answers every complete message at the front of `buf` — v1 lines
@@ -191,7 +43,6 @@ fn pump<W: Write>(
     service: &PagerService,
     buf: &mut Vec<u8>,
     writer: &mut W,
-    inflight: Option<&AtomicU64>,
 ) -> std::io::Result<Flow> {
     let mut cursor = 0;
     let mut flow = Flow::Continue;
@@ -200,7 +51,7 @@ fn pump<W: Write>(
             Split::NeedMore => break,
             Split::Malformed(message) => {
                 // A hostile or corrupt header: the stream can never
-                // re-synchronise, so answer once and close.
+                // re-synchronise, so answer once and stop.
                 let mut out = pool::take();
                 binary::encode_error_response(
                     &mut out,
@@ -213,7 +64,7 @@ fn pump<W: Write>(
                 writer.write_all(&out)?;
                 writer.flush()?;
                 cursor = buf.len();
-                flow = Flow::Close;
+                flow = Flow::Stop;
                 break;
             }
             Split::V1Line { line, consumed } => {
@@ -227,20 +78,11 @@ fn pump<W: Write>(
                 if text.trim().is_empty() {
                     continue;
                 }
-                // In-flight from here until the response is written: a
-                // drain must wait this request out.
-                if let Some(counter) = inflight {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }
                 let outcome = handle_line(service, text);
-                let written =
-                    writeln!(writer, "{}", outcome.response).and_then(|()| writer.flush());
-                if let Some(counter) = inflight {
-                    counter.fetch_sub(1, Ordering::SeqCst);
-                }
-                written?;
+                writeln!(writer, "{}", outcome.response)?;
+                writer.flush()?;
                 if outcome.shutdown {
-                    flow = Flow::Shutdown;
+                    flow = Flow::Stop;
                     break;
                 }
             }
@@ -249,19 +91,13 @@ fn pump<W: Write>(
                 payload,
                 consumed,
             } => {
-                if let Some(counter) = inflight {
-                    counter.fetch_add(1, Ordering::SeqCst);
-                }
                 let mut out = pool::take();
                 let shutdown = handle_frame(service, op, payload, &mut out);
-                let written = writer.write_all(&out).and_then(|()| writer.flush());
-                if let Some(counter) = inflight {
-                    counter.fetch_sub(1, Ordering::SeqCst);
-                }
+                writer.write_all(&out)?;
+                writer.flush()?;
                 cursor += consumed;
-                written?;
                 if shutdown {
-                    flow = Flow::Shutdown;
+                    flow = Flow::Stop;
                     break;
                 }
             }
@@ -269,74 +105,6 @@ fn pump<W: Write>(
     }
     buf.drain(..cursor);
     Ok(flow)
-}
-
-fn serve_connection(
-    stream: &TcpStream,
-    service: &PagerService,
-    stop: &AtomicBool,
-    inflight: &AtomicU64,
-) {
-    // Each message is handled synchronously on this dedicated thread.
-    // Reads time out at READ_POLL so the thread can notice a stop
-    // request between messages instead of blocking in `read` forever.
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
-        return;
-    }
-    let mut reader = match stream.try_clone() {
-        Ok(s) => s,
-        Err(_) => return,
-    };
-    let mut writer = BufWriter::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 4096];
-    // Whether one post-stop grace read has already come up empty.
-    let mut grace_done = false;
-    loop {
-        // NOTE: a partially received message survives the poll tick in
-        // `buf`; `pump` only drains bytes belonging to *answered*
-        // messages.
-        match reader.read(&mut chunk) {
-            // EOF. Anything left in `buf` is a mid-message disconnect;
-            // there is no one left to answer, so it is dropped.
-            Ok(0) => return,
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                match pump(service, &mut buf, &mut writer, Some(inflight)) {
-                    Ok(Flow::Continue) => {}
-                    Ok(Flow::Shutdown) => {
-                        stop.store(true, Ordering::SeqCst);
-                        return;
-                    }
-                    Ok(Flow::Close) | Err(_) => return,
-                }
-                // Even when draining, keep reading: the client may
-                // have pipelined another request that is already in
-                // our receive buffer (or crossing the wire), and
-                // closing over unread data sends RST — which discards
-                // the response we just flushed before the client can
-                // read it. The idle grace read below decides when the
-                // connection is truly quiet and safe to close.
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if stop.load(Ordering::SeqCst) {
-                    // Draining and idle — but a request the client
-                    // already sent may still be crossing the wire;
-                    // closing now would RST it unanswered. Give the
-                    // socket one more READ_POLL tick, and close only
-                    // when that grace read also comes up empty.
-                    if grace_done {
-                        return;
-                    }
-                    grace_done = true;
-                }
-            }
-            Err(_) => return,
-        }
-    }
 }
 
 /// Serves the wire protocols over arbitrary reader/writer pairs (used
@@ -363,9 +131,204 @@ pub fn serve_lines<R: BufRead, W: Write>(
         let n = chunk.len();
         buf.extend_from_slice(chunk);
         reader.consume(n);
-        match pump(service, &mut buf, &mut writer, None)? {
+        match pump(service, &mut buf, &mut writer)? {
             Flow::Continue => {}
-            Flow::Shutdown | Flow::Close => return Ok(()),
+            Flow::Stop => return Ok(()),
+        }
+    }
+}
+
+#[cfg(target_os = "linux")]
+mod tcp {
+    use std::sync::Arc;
+
+    use jsonio::Value;
+    use pager_core::Instance;
+    use pager_wire::{binary, ErrorCode, IdView, PlanSpec};
+
+    use crate::metrics::Metrics;
+    use crate::proto::{self, FrameDispatch, Request};
+    use crate::reactor_server::{Dispatch, Handler, Message, Replies, ReplyMode};
+    use crate::service::PagerService;
+
+    impl Handler for PagerService {
+        fn handle(
+            self: &Arc<Self>,
+            message: Message<'_>,
+            out: &mut Vec<u8>,
+            replies: &Replies<'_>,
+        ) -> Dispatch {
+            match message {
+                Message::Line(line) => dispatch_line(self, line, ReplyMode::Line, out, replies),
+                Message::Frame { op, payload } => {
+                    match proto::dispatch_frame(self, op, payload, out) {
+                        FrameDispatch::Answered => Dispatch::Answered { stop: false },
+                        FrameDispatch::Solve { id, instance, spec } => {
+                            dispatch_solve(self, id, instance, spec, replies)
+                        }
+                        FrameDispatch::JsonLine(line) => {
+                            dispatch_line(self, &line, ReplyMode::JsonFrame, out, replies)
+                        }
+                    }
+                }
+                Message::Malformed(reason) => {
+                    binary::encode_error_response(
+                        out,
+                        IdView::Null,
+                        self.node_id(),
+                        ErrorCode::BadRequest,
+                        reason,
+                        None,
+                    );
+                    Dispatch::Answered { stop: false }
+                }
+            }
+        }
+
+        fn connection_opened(&self) {
+            Metrics::inc(&self.metrics().reactor_connections);
+        }
+
+        fn connection_closed(&self) {
+            Metrics::dec(&self.metrics().reactor_connections);
+        }
+
+        fn watchdog_fired(&self) {
+            Metrics::inc(&self.metrics().reactor_deadline_watchdog);
+        }
+    }
+
+    /// The watchdog budget of a request carrying `deadline_ms`.
+    fn watchdog_ms(service: &PagerService, deadline_ms: Option<u64>) -> Option<u64> {
+        deadline_ms.or(service.config().default_deadline_ms)
+    }
+
+    /// One v1 line (bare, or unwrapped from a `JSON_REQ` frame).
+    fn dispatch_line(
+        service: &Arc<PagerService>,
+        line: &str,
+        mode: ReplyMode,
+        out: &mut Vec<u8>,
+        replies: &Replies<'_>,
+    ) -> Dispatch {
+        let (request_id, parsed) = proto::parse_request_with_id(line);
+        match parsed {
+            Ok(Request::Plan { id, instance, spec }) if spec.cache_enabled() => {
+                let watchdog_ms = watchdog_ms(service, spec.deadline_ms());
+                let (answer_service, reply) = (Arc::clone(service), replies.reply());
+                service.plan_async(
+                    &instance,
+                    spec,
+                    Box::new(move |result| {
+                        let line = proto::plan_response_line(&answer_service, &id, &result);
+                        reply.send(mode.package(&line));
+                    }),
+                );
+                Dispatch::Pending { watchdog_ms }
+            }
+            Ok(Request::PlanDevices {
+                id,
+                devices,
+                estimator,
+                now,
+                spec,
+            }) if spec.cache_enabled() => {
+                let watchdog_ms = watchdog_ms(service, spec.deadline_ms());
+                let (answer_service, reply) = (Arc::clone(service), replies.reply());
+                let refs: Vec<&str> = devices.iter().map(String::as_str).collect();
+                // Profile resolution happens here (cheap, in-memory);
+                // only the solve is deferred to the pool.
+                service.plan_devices_async(
+                    &refs,
+                    estimator,
+                    now,
+                    spec,
+                    Box::new(move |result| {
+                        let line = proto::device_plan_response_line(
+                            &answer_service,
+                            &id,
+                            estimator,
+                            &result,
+                        );
+                        reply.send(mode.package(&line));
+                    }),
+                );
+                Dispatch::Pending { watchdog_ms }
+            }
+            // `observe` may fsync a WAL append before acking; WAL
+            // ship/apply touch disk; uncacheable plans solve on the
+            // caller. None of these may stall the event loop, and none
+            // may shed.
+            Ok(
+                request @ (Request::Observe { .. }
+                | Request::WalShip { .. }
+                | Request::WalApply { .. }
+                | Request::Plan { .. }
+                | Request::PlanDevices { .. }),
+            ) => {
+                let (job_service, reply) = (Arc::clone(service), replies.reply());
+                Dispatch::Blocking {
+                    watchdog_ms: watchdog_ms(service, None),
+                    job: Box::new(move || {
+                        // lint:allow(no-blocking-in-reactor): this
+                        // closure runs on the I/O pool, not the shard
+                        // thread; blocking here is the design.
+                        let outcome = proto::handle_request(&job_service, Ok(request), &request_id);
+                        reply.send(mode.package(&outcome.response));
+                    }),
+                }
+            }
+            parsed => {
+                // lint:allow(no-blocking-in-reactor): every blocking
+                // request kind went to the I/O pool above; what reaches
+                // this arm is cheap in-memory control traffic or a
+                // parse error.
+                let outcome = proto::handle_request(service, parsed, &request_id);
+                mode.append(out, &outcome.response);
+                Dispatch::Answered {
+                    stop: outcome.shutdown,
+                }
+            }
+        }
+    }
+
+    /// A native v2 plan frame that missed the cache. Cacheable plans
+    /// go through the coalescing async solver (same admission, shed
+    /// and deadline path as v1 plans); uncacheable ones run on the
+    /// I/O pool, mirroring the v1 routing. Either way the answer is a
+    /// native v2 frame.
+    fn dispatch_solve(
+        service: &Arc<PagerService>,
+        id: Value,
+        instance: Instance,
+        spec: PlanSpec,
+        replies: &Replies<'_>,
+    ) -> Dispatch {
+        let (answer_service, reply) = (Arc::clone(service), replies.reply());
+        if spec.cache_enabled() {
+            let watchdog_ms = watchdog_ms(service, spec.deadline_ms());
+            service.plan_async(
+                &instance,
+                spec,
+                Box::new(move |result| {
+                    let mut bytes = Vec::new();
+                    proto::plan_result_frame(&answer_service, &id, &result, &mut bytes);
+                    reply.send(bytes);
+                }),
+            );
+            return Dispatch::Pending { watchdog_ms };
+        }
+        Dispatch::Blocking {
+            watchdog_ms: watchdog_ms(service, None),
+            job: Box::new(move || {
+                // lint:allow(no-blocking-in-reactor): this closure runs
+                // on the I/O pool, not the shard thread; blocking here
+                // is the design.
+                let result = answer_service.plan(&instance, spec);
+                let mut bytes = Vec::new();
+                proto::plan_result_frame(&answer_service, &id, &result, &mut bytes);
+                reply.send(bytes);
+            }),
         }
     }
 }
@@ -375,14 +338,14 @@ mod tests {
     use super::*;
     use crate::service::ServiceConfig;
     use jsonio::Value;
-    use std::io::{BufReader, Cursor};
+    use std::io::Cursor;
 
-    fn service() -> Arc<PagerService> {
-        Arc::new(PagerService::new(ServiceConfig {
+    fn service() -> PagerService {
+        PagerService::new(ServiceConfig {
             workers: 2,
             capacity: 64,
             ..ServiceConfig::default()
-        }))
+        })
     }
 
     #[test]
@@ -409,59 +372,6 @@ mod tests {
         let text = String::from_utf8(out).unwrap();
         assert_eq!(text.lines().count(), 1, "no output after shutdown");
         assert!(text.contains("stopping"));
-    }
-
-    #[test]
-    fn tcp_round_trip_and_stop() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let request = r#"{"id": 9, "instance": [[0.7, 0.3]], "delay": 1}"#;
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let v = jsonio::parse(&line).unwrap();
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("id").and_then(Value::as_i64), Some(9));
-        handle.stop();
-        assert!(handle.stopping());
-    }
-
-    #[test]
-    fn drain_answers_inflight_requests_before_closing() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        // Ping round-trip first so the connection is accepted and its
-        // thread is serving before the drain starts (otherwise the
-        // drain could stop the accept loop before the connection
-        // exists at all).
-        writeln!(writer, r#"{{"cmd": "ping"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut pong = String::new();
-        reader.read_line(&mut pong).unwrap();
-        assert!(pong.contains("pong"));
-        let request = r#"{"id": 3, "instance": [[0.6, 0.4]], "delay": 2}"#;
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        // Drain while the request may still be in flight: it must be
-        // answered (not dropped) and the drain must report zero
-        // pending.
-        let pending = handle.drain(Duration::from_secs(5));
-        assert_eq!(pending, 0, "drain left requests unanswered");
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        let v = jsonio::parse(&line).unwrap();
-        assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(v.get("id").and_then(Value::as_i64), Some(3));
-        assert_eq!(handle.inflight(), 0);
     }
 
     #[test]
@@ -517,85 +427,5 @@ mod tests {
         let v = binary::response_to_value(op, payload).unwrap();
         assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
         assert_eq!(v.get("code").and_then(Value::as_str), Some("bad_request"));
-    }
-
-    #[test]
-    fn tcp_serves_v2_frames() {
-        use pager_core::{Delay, Instance};
-        use pager_wire::{Codec, PlanSpec, Request};
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
-        let request = Request::Plan {
-            id: Value::Int(11),
-            instance: Instance::from_rows(vec![vec![0.6, 0.4]]).unwrap(),
-            spec: PlanSpec::new(Delay::new(1).unwrap()),
-        };
-        let mut wire = Vec::new();
-        pager_wire::BinaryCodec.encode_request(&request, &mut wire);
-        stream.write_all(&wire).unwrap();
-        stream.flush().unwrap();
-        let mut buf = Vec::new();
-        let mut chunk = [0u8; 1024];
-        loop {
-            match frame::split(&buf) {
-                Split::NeedMore => {
-                    let n = stream.read(&mut chunk).unwrap();
-                    assert!(n > 0, "connection closed before a full frame");
-                    buf.extend_from_slice(&chunk[..n]);
-                }
-                Split::V2Frame { op, payload, .. } => {
-                    let v = binary::response_to_value(op, payload).unwrap();
-                    assert_eq!(v.get("id").and_then(Value::as_i64), Some(11));
-                    assert_eq!(v.get("ok").and_then(Value::as_bool), Some(true));
-                    break;
-                }
-                other => panic!("{other:?}"),
-            }
-        }
-        handle.stop();
-    }
-
-    #[test]
-    fn tcp_mid_frame_disconnect_does_not_hang_the_server() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        {
-            // A frame header promising 64 payload bytes, then silence
-            // and a disconnect.
-            let mut stream = TcpStream::connect(addr).unwrap();
-            let header = [frame::MAGIC, frame::VERSION, 0x01, 0, 64, 0, 0, 0];
-            stream.write_all(&header).unwrap();
-            stream.flush().unwrap();
-        } // dropped: mid-frame disconnect
-          // The server keeps serving other connections.
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        writeln!(writer, r#"{{"cmd": "ping"}}"#).unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("pong"));
-        handle.stop();
-    }
-
-    #[test]
-    fn tcp_shutdown_command_stops_accept_loop() {
-        let svc = service();
-        let mut handle = serve_tcp(Arc::clone(&svc), ("127.0.0.1", 0)).unwrap();
-        let addr = handle.local_addr();
-        let stream = TcpStream::connect(addr).unwrap();
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let mut writer = BufWriter::new(stream);
-        let request = r#"{"cmd": "shutdown"}"#;
-        writeln!(writer, "{request}").unwrap();
-        writer.flush().unwrap();
-        let mut line = String::new();
-        reader.read_line(&mut line).unwrap();
-        assert!(line.contains("stopping"));
-        handle.join();
-        assert!(handle.stopping());
     }
 }

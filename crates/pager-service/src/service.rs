@@ -318,10 +318,17 @@ impl PagerService {
     }
 
     /// Live metrics (shared; read with `Metrics::get` or dump with
-    /// `Metrics::to_json`).
+    /// [`PagerService::metrics_json`]).
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
+    }
+
+    /// The metrics snapshot the `metrics` op and `--metrics-json`
+    /// render, with the strategy cache's eviction count.
+    #[must_use]
+    pub fn metrics_json(&self) -> jsonio::Value {
+        self.metrics.to_json(self.cache.evictions())
     }
 
     /// The device-profile store behind `observe` / `plan_devices`.
@@ -622,7 +629,7 @@ impl PagerService {
     /// `complete` is invoked exactly once — synchronously on this
     /// thread for cache hits, shed requests and inline (uncacheable)
     /// work, or later on a worker thread when the job was enqueued or
-    /// coalesced. The reactor transport's shards live on this.
+    /// coalesced. The connection engine's shards live on this.
     pub fn plan_async(
         &self,
         instance: &Instance,
@@ -874,12 +881,6 @@ impl PagerService {
     #[must_use]
     pub fn cached_strategies(&self) -> usize {
         self.cache.len()
-    }
-
-    /// Total cache evictions so far.
-    #[must_use]
-    pub fn cache_evictions(&self) -> u64 {
-        self.cache.evictions()
     }
 
     /// Stops the worker pool (in-flight requests and scheduled

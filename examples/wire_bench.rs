@@ -5,15 +5,14 @@
 //!
 //! 1. **Per-message serving cost** — the transport-independent
 //!    `proto::handle_line` (v1) vs `proto::handle_frame` (v2) path
-//!    that both the threaded and reactor transports execute for every
-//!    message, driven with a steady-state cache-hit `plan` request.
+//!    that every front end executes for every message, driven with a steady-state cache-hit `plan` request.
 //!    Reports ns/req and allocations/req for each, and **asserts the
 //!    v2 invariant: zero heap allocations per cache-hit plan frame**
 //!    (exit code 1 on violation), plus the ≥5x encode/decode speedup
 //!    the v2 framing exists for.
 //! 2. **End-to-end round trips** — the same request driven over TCP
-//!    against in-process `threads` and `reactor` transports, v1 and
-//!    v2, reporting client-observed ns/req.
+//!    against an in-process reactor server, v1 and v2, reporting
+//!    client-observed ns/req.
 //!
 //! ```text
 //! cargo run --release --features wire-bench --example wire_bench \
@@ -30,8 +29,7 @@ use std::time::{Duration, Instant};
 use jsonio::Value;
 use pager_core::{Delay, Instance};
 use pager_service::{
-    handle_frame, handle_line, serve_reactor_with, serve_tcp, PagerService, ReactorConfig,
-    ServiceConfig,
+    handle_frame, handle_line, serve_reactor_with, PagerService, ReactorConfig, ServiceConfig,
 };
 use pager_wire::count_alloc;
 use pager_wire::frame::{self, Split};
@@ -184,7 +182,7 @@ fn tcp_round_trips(addr: std::net::SocketAddr, wire: &[u8], v1: bool) -> Measure
     measure(TCP_ITERS, &mut step)
 }
 
-fn bench_transport(addr: std::net::SocketAddr) -> Value {
+fn bench_tcp(addr: std::net::SocketAddr) -> Value {
     let mut v1_wire = plan_line().into_bytes();
     v1_wire.push(b'\n');
     let v1 = tcp_round_trips(addr, &v1_wire, true);
@@ -206,7 +204,7 @@ fn main() {
         }
     }
 
-    // Per-message serving path (shared by both transports).
+    // Per-message serving path (shared by every front end).
     let svc = service();
     // Populate the cache once so the measured loops are steady-state.
     let warm = handle_line(&svc, &plan_line());
@@ -215,9 +213,7 @@ fn main() {
     let (v2, v2_total_allocs) = serve_v2(&svc);
     let speedup = v1.ns_per_req / v2.ns_per_req;
 
-    // End-to-end transports.
-    let threaded_svc = service();
-    let mut threaded = serve_tcp(Arc::clone(&threaded_svc), ("127.0.0.1", 0)).expect("serve_tcp");
+    // End to end over TCP.
     let reactor = serve_reactor_with(
         service(),
         "127.0.0.1:0",
@@ -227,9 +223,7 @@ fn main() {
         },
     )
     .expect("serve_reactor");
-    let threads_report = bench_transport(threaded.local_addr());
-    let reactor_report = bench_transport(reactor.local_addr());
-    threaded.stop();
+    let tcp_report = bench_tcp(reactor.local_addr());
     reactor.stop();
 
     let zero_alloc_ok = v2_total_allocs == 0;
@@ -247,13 +241,7 @@ fn main() {
                 ("encode_decode_speedup", Value::Float(speedup)),
             ]),
         ),
-        (
-            "transports",
-            Value::object(vec![
-                ("threads", threads_report),
-                ("reactor", reactor_report),
-            ]),
-        ),
+        ("tcp", tcp_report),
         ("zero_alloc_invariant", Value::Bool(zero_alloc_ok)),
         ("speedup_at_least_5x", Value::Bool(speedup_ok)),
     ]);

@@ -5,7 +5,6 @@
 //!   pager-serve [--addr HOST:PORT] [--stdio] [--workers N] [--shards N]
 //!               [--capacity N] [--grid G] [--queue-depth N]
 //!               [--deadline-ms MS] [--drain-ms MS] [--metrics-json]
-//!               [--transport threads|reactor]
 //!               [--data-dir DIR] [--fsync always|never|interval:N]
 //!               [--checkpoint-every N] [--wal-retain N]
 //!               [--node-id ID] [--epoch E]
@@ -36,13 +35,11 @@
 //! of crashing: observes answer `"code": "degraded"` while planning
 //! keeps serving from the in-memory profiles.
 //!
-//! `--transport` selects how TCP connections are served: `reactor`
-//! (the default on Linux) multiplexes every connection onto a few
-//! epoll event-loop shards, so idle connections cost a few hundred
-//! bytes instead of a thread; `threads` is the classic
-//! thread-per-connection loop (the default, and only option, off
-//! Linux). Both speak the identical wire protocol and share the
-//! identical admission/shed/deadline/drain semantics.
+//! TCP connections are served by the epoll connection engine
+//! (`pager_service::reactor_server`): a few event-loop shards
+//! multiplex every connection, so an idle connection costs a few
+//! hundred bytes instead of a thread. TCP serving is Linux-only; on
+//! other platforms only `--stdio` works.
 //!
 //! Cluster flags: `--node-id` stamps a stable shard identity as
 //! `"node"` on every response line, `--epoch` sets the starting
@@ -55,52 +52,20 @@ use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-use conference_call::service::{
-    serve_lines, serve_tcp, DurabilityOptions, PagerService, ServiceConfig,
-};
+use conference_call::service::{serve_lines, DurabilityOptions, PagerService, ServiceConfig};
 use pager_profiles::FsyncPolicy;
-
-/// How TCP connections are served.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Transport {
-    /// One blocking thread per connection.
-    Threads,
-    /// Epoll event-loop shards (Linux only).
-    Reactor,
-}
-
-impl Transport {
-    fn default_for_platform() -> Transport {
-        if cfg!(target_os = "linux") {
-            Transport::Reactor
-        } else {
-            Transport::Threads
-        }
-    }
-
-    fn parse(name: &str) -> Result<Transport, String> {
-        match name {
-            "threads" => Ok(Transport::Threads),
-            "reactor" => Ok(Transport::Reactor),
-            other => Err(format!(
-                "--transport must be \"threads\" or \"reactor\", got {other:?}"
-            )),
-        }
-    }
-}
 
 struct Options {
     addr: String,
     stdio: bool,
     metrics_json: bool,
     drain: Duration,
-    transport: Transport,
     config: ServiceConfig,
 }
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: pager-serve [--addr HOST:PORT] [--stdio] [--workers N] [--shards N] [--capacity N] [--grid G] [--queue-depth N] [--deadline-ms MS] [--drain-ms MS] [--metrics-json] [--transport threads|reactor] [--data-dir DIR] [--fsync always|never|interval:N] [--checkpoint-every N] [--wal-retain N] [--node-id ID] [--epoch E]"
+        "usage: pager-serve [--addr HOST:PORT] [--stdio] [--workers N] [--shards N] [--capacity N] [--grid G] [--queue-depth N] [--deadline-ms MS] [--drain-ms MS] [--metrics-json] [--data-dir DIR] [--fsync always|never|interval:N] [--checkpoint-every N] [--wal-retain N] [--node-id ID] [--epoch E]"
     );
     ExitCode::from(2)
 }
@@ -112,7 +77,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
         stdio: false,
         metrics_json: false,
         drain: Duration::from_millis(5000),
-        transport: Transport::default_for_platform(),
         config: ServiceConfig::default(),
     };
     let mut fsync = FsyncPolicy::Always;
@@ -179,16 +143,6 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
                     .and_then(|v| v.parse::<u64>().ok())
                     .ok_or("--epoch needs a non-negative integer")?;
             }
-            "--transport" => {
-                let name = args.next().ok_or("--transport needs a name")?;
-                opts.transport = Transport::parse(&name)?;
-                if opts.transport == Transport::Reactor && !cfg!(target_os = "linux") {
-                    eprintln!(
-                        "pager-serve: reactor transport needs epoll; falling back to threads"
-                    );
-                    opts.transport = Transport::Threads;
-                }
-            }
             "--drain-ms" => {
                 let ms = args
                     .next()
@@ -211,56 +165,31 @@ fn parse_args(mut args: std::env::Args) -> Result<Options, String> {
     Ok(opts)
 }
 
-/// A running TCP server, whichever transport backs it. Both arms
-/// expose the same lifecycle: `join` until a shutdown command, then
-/// `drain` with a budget.
-enum Handle {
-    Threads(Box<conference_call::service::ServerHandle>),
-    #[cfg(target_os = "linux")]
-    Reactor(Box<conference_call::service::ReactorHandle>),
-}
-
-impl Handle {
-    fn local_addr(&self) -> std::net::SocketAddr {
-        match self {
-            Handle::Threads(h) => h.local_addr(),
-            #[cfg(target_os = "linux")]
-            Handle::Reactor(h) => h.local_addr(),
-        }
-    }
-
-    fn join(&mut self) {
-        match self {
-            Handle::Threads(h) => h.join(),
-            #[cfg(target_os = "linux")]
-            Handle::Reactor(h) => h.join(),
-        }
-    }
-
-    fn drain(&mut self, budget: Duration) -> u64 {
-        match self {
-            Handle::Threads(h) => h.drain(budget),
-            #[cfg(target_os = "linux")]
-            Handle::Reactor(h) => h.drain(budget),
-        }
-    }
-}
-
-fn bind_transport(
-    transport: Transport,
-    service: Arc<PagerService>,
+/// Serves TCP until a client sends `shutdown`, then drains for up to
+/// `drain`.
+#[cfg(target_os = "linux")]
+fn serve_until_shutdown(
+    service: &Arc<PagerService>,
     addr: &str,
-) -> std::io::Result<Handle> {
-    match transport {
-        Transport::Threads => serve_tcp(service, addr).map(|h| Handle::Threads(Box::new(h))),
-        #[cfg(target_os = "linux")]
-        Transport::Reactor => conference_call::service::serve_reactor(service, addr)
-            .map(|h| Handle::Reactor(Box::new(h))),
-        // `parse_args` already downgraded Reactor off Linux; this arm
-        // is unreachable but keeps the match total.
-        #[cfg(not(target_os = "linux"))]
-        Transport::Reactor => serve_tcp(service, addr).map(|h| Handle::Threads(Box::new(h))),
+    drain: Duration,
+) -> Result<(), String> {
+    let handle = conference_call::service::serve_reactor(Arc::clone(service), addr)
+        .map_err(|e| format!("cannot bind {addr}: {e}"))?;
+    eprintln!("pager-serve: listening on {}", handle.local_addr());
+    handle.join();
+    eprintln!("pager-serve: draining");
+    let pending = handle.drain(drain);
+    if pending == 0 {
+        eprintln!("pager-serve: shutting down (drained cleanly)");
+    } else {
+        eprintln!("pager-serve: shutting down ({pending} requests still in flight)");
     }
+    Ok(())
+}
+
+#[cfg(not(target_os = "linux"))]
+fn serve_until_shutdown(_: &Arc<PagerService>, _: &str, _: Duration) -> Result<(), String> {
+    Err("TCP serving needs epoll, which only Linux has; use --stdio".into())
 }
 
 fn parse_positive(value: Option<String>, flag: &str) -> Result<usize, String> {
@@ -301,27 +230,13 @@ fn main() -> ExitCode {
             eprintln!("pager-serve: I/O error: {e}");
             return ExitCode::FAILURE;
         }
-    } else {
-        let mut handle = match bind_transport(opts.transport, Arc::clone(&service), &opts.addr) {
-            Ok(handle) => handle,
-            Err(e) => {
-                eprintln!("pager-serve: cannot bind {}: {e}", opts.addr);
-                return ExitCode::FAILURE;
-            }
-        };
-        eprintln!("pager-serve: listening on {}", handle.local_addr());
-        handle.join();
-        eprintln!("pager-serve: draining");
-        let pending = handle.drain(opts.drain);
-        if pending == 0 {
-            eprintln!("pager-serve: shutting down (drained cleanly)");
-        } else {
-            eprintln!("pager-serve: shutting down ({pending} requests still in flight)");
-        }
+    } else if let Err(message) = serve_until_shutdown(&service, &opts.addr, opts.drain) {
+        eprintln!("pager-serve: {message}");
+        return ExitCode::FAILURE;
     }
     service.shutdown();
     if opts.metrics_json {
-        println!("{}", service.metrics().to_json());
+        println!("{}", service.metrics_json());
     }
     ExitCode::SUCCESS
 }

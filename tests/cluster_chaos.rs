@@ -67,7 +67,6 @@ fn launch(family: &str, seed: u64, schedule: &Schedule) -> (Cluster, PathBuf) {
         queue_depth: 256,
         wal_retain: 8,
         checkpoint_every: 0,
-        transport: "reactor".to_string(),
         chaos: Some(ChaosSpec {
             seed,
             schedule: schedule.clone(),

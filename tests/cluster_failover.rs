@@ -70,7 +70,6 @@ fn sigkill_owner_fails_over_without_losing_acked_observations() {
         queue_depth: 256,
         wal_retain: 8,
         checkpoint_every: 0,
-        transport: "reactor".to_string(),
         chaos: None,
     };
     let config = HarnessConfig {

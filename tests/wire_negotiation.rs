@@ -1,10 +1,10 @@
 //! Wire negotiation matrix and hostile-input coverage.
 //!
-//! Drives the same plan request through every protocol/transport
-//! pairing — v1 JSON lines and v2 binary frames, over the threaded
-//! and reactor transports, directly and through the cluster router —
-//! and asserts the answers carry byte-identical strategies. The
-//! hostile-input tests feed each transport truncated, oversize and
+//! Drives the same plan request through every protocol/front-end
+//! pairing — v1 JSON lines and v2 binary frames, over TCP and over a
+//! `--stdio` session, directly and through the cluster router — and
+//! asserts the answers carry byte-identical strategies. The
+//! hostile-input tests feed the TCP engine truncated, oversize and
 //! wrong-version frames and assert a `bad_request` answer or a clean
 //! close, never a hang.
 
@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use conference_call::service::{
-    serve_reactor_with, serve_tcp, PagerService, ReactorConfig, ServiceConfig,
+    serve_lines, serve_reactor_with, PagerService, ReactorConfig, ReactorHandle, ServiceConfig,
 };
 use jsonio::Value;
 use pager_core::{Delay, Instance};
@@ -122,42 +122,66 @@ fn assert_same_strategy(a: &Value, b: &Value) {
     assert_eq!(a.get("tier"), b.get("tier"));
 }
 
-#[test]
-fn both_codecs_agree_on_both_transports() {
-    let threaded_svc = service();
-    let mut threaded = serve_tcp(Arc::clone(&threaded_svc), ("127.0.0.1", 0)).unwrap();
-    let reactor = serve_reactor_with(
-        service(),
+fn serve(service: Arc<PagerService>) -> ReactorHandle {
+    serve_reactor_with(
+        service,
         "127.0.0.1:0",
         ReactorConfig {
             shards: 2,
             io_threads: 1,
         },
     )
-    .unwrap();
+    .unwrap()
+}
 
-    let mut answers = Vec::new();
-    for addr in [threaded.local_addr(), reactor.local_addr()] {
-        let mut stream = connect(addr);
-        // v1 first (a cache miss), then the same instance as a v2
-        // frame (served from the cache the v1 request populated).
-        let v1 = v1_round_trip(&mut stream, &plan_line(1));
+/// The first v1 line and the v2 frame after it in a `--stdio`
+/// session's output.
+fn stdio_answers(out: &[u8]) -> (Value, Value) {
+    let Split::V1Line { line, consumed } = frame::split(out) else {
+        panic!("expected a v1 line first");
+    };
+    let v1 = jsonio::parse(std::str::from_utf8(line).unwrap()).unwrap();
+    let Split::V2Frame {
+        op: resp_op,
+        payload,
+        ..
+    } = frame::split(&out[consumed..])
+    else {
+        panic!("expected a v2 frame second");
+    };
+    (v1, binary::response_to_value(resp_op, payload).unwrap())
+}
+
+#[test]
+fn both_codecs_agree_on_both_transports() {
+    let reactor = serve(service());
+    let mut stream = connect(reactor.local_addr());
+    // v1 first (a cache miss), then the same instance as a v2 frame
+    // (served from the cache the v1 request populated).
+    let tcp_v1 = v1_round_trip(&mut stream, &plan_line(1));
+    let tcp_v2 = v2_round_trip(&mut stream, &plan_frame(2));
+
+    // The same two messages as one `--stdio` session.
+    let mut input = format!("{}\n", plan_line(1)).into_bytes();
+    input.extend_from_slice(&plan_frame(2));
+    let mut out = Vec::new();
+    serve_lines(&service(), std::io::Cursor::new(input), &mut out).unwrap();
+    let (stdio_v1, stdio_v2) = stdio_answers(&out);
+
+    for (v1, v2) in [(&tcp_v1, &tcp_v2), (&stdio_v1, &stdio_v2)] {
         assert_eq!(v1.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(v1.get("v").and_then(Value::as_u64), Some(1));
-        let v2 = v2_round_trip(&mut stream, &plan_frame(2));
         assert_eq!(v2.get("ok").and_then(Value::as_bool), Some(true));
         assert_eq!(v2.get("id").and_then(Value::as_i64), Some(2));
         assert_eq!(v2.get("cached").and_then(Value::as_bool), Some(true));
-        assert_same_strategy(&v1, &v2);
-        answers.push(v1);
+        assert_same_strategy(v1, v2);
     }
-    // The two transports agree with each other, not just internally.
-    assert_same_strategy(&answers[0], &answers[1]);
-    threaded.stop();
+    // The two fronts agree with each other, not just internally.
+    assert_same_strategy(&tcp_v1, &stdio_v1);
     reactor.stop();
 }
 
-/// Runs the hostile-input battery against one listening transport.
+/// Runs the hostile-input battery against one listening server.
 fn hostile_battery(addr: SocketAddr) {
     // Oversize declared length: one bad_request error frame, close.
     {
@@ -279,45 +303,15 @@ fn corruption_battery(addr: SocketAddr) {
 }
 
 #[test]
-fn corrupted_headers_never_hang_the_threaded_transport() {
-    let mut handle = serve_tcp(service(), ("127.0.0.1", 0)).unwrap();
-    corruption_battery(handle.local_addr());
-    handle.stop();
-}
-
-#[test]
 fn corrupted_headers_never_hang_the_reactor_transport() {
-    let handle = serve_reactor_with(
-        service(),
-        "127.0.0.1:0",
-        ReactorConfig {
-            shards: 2,
-            io_threads: 1,
-        },
-    )
-    .unwrap();
+    let handle = serve(service());
     corruption_battery(handle.local_addr());
-    handle.stop();
-}
-
-#[test]
-fn hostile_frames_never_hang_the_threaded_transport() {
-    let mut handle = serve_tcp(service(), ("127.0.0.1", 0)).unwrap();
-    hostile_battery(handle.local_addr());
     handle.stop();
 }
 
 #[test]
 fn hostile_frames_never_hang_the_reactor_transport() {
-    let handle = serve_reactor_with(
-        service(),
-        "127.0.0.1:0",
-        ReactorConfig {
-            shards: 2,
-            io_threads: 1,
-        },
-    )
-    .unwrap();
+    let handle = serve(service());
     hostile_battery(handle.local_addr());
     handle.stop();
 }
@@ -339,8 +333,6 @@ fn router_matrix_v1_and_v2_agree_through_a_real_cluster() {
         queue_depth: 256,
         wal_retain: 8,
         checkpoint_every: 0,
-        // Backends speak v2 natively over the reactor transport.
-        transport: "reactor".to_string(),
         chaos: None,
     };
     let config = HarnessConfig {
@@ -350,35 +342,26 @@ fn router_matrix_v1_and_v2_agree_through_a_real_cluster() {
         router: RouterConfig::default(),
     };
     let cluster = Cluster::launch(&config).expect("launch 2-shard cluster");
+    // The router in front of it, served by the same engine as a node.
+    let front = serve_reactor_with(
+        Arc::clone(&cluster.router),
+        "127.0.0.1:0",
+        ReactorConfig {
+            shards: 2,
+            io_threads: 2,
+        },
+    )
+    .expect("serve the router");
+    let mut stream = connect(front.local_addr());
 
     // v1 client -> router -> backend.
-    let v1 = cluster.request(&plan_line(1));
+    let v1 = v1_round_trip(&mut stream, &plan_line(1));
     assert_eq!(v1.get("ok").and_then(Value::as_bool), Some(true), "{v1:?}");
     assert!(v1.get("shard").is_some(), "router stamps v1 responses");
 
     // v2 client -> router -> v2 backend: the PLAN frame is routed by
     // its payload fingerprint and forwarded without a decode.
-    let wire = plan_frame(2);
-    let Split::V2Frame {
-        op: plan_op,
-        payload,
-        ..
-    } = frame::split(&wire)
-    else {
-        panic!("encoder produced a non-frame");
-    };
-    let mut out = Vec::new();
-    let shutdown = cluster.router.handle_frame(plan_op, payload, &mut out);
-    assert!(!shutdown);
-    let Split::V2Frame {
-        op: resp_op,
-        payload: resp_payload,
-        ..
-    } = frame::split(&out)
-    else {
-        panic!("router answered a frame with a non-frame");
-    };
-    let v2 = binary::response_to_value(resp_op, resp_payload).unwrap();
+    let v2 = v2_round_trip(&mut stream, &plan_frame(2));
     assert_eq!(v2.get("ok").and_then(Value::as_bool), Some(true), "{v2:?}");
     assert_eq!(v2.get("id").and_then(Value::as_i64), Some(2));
     assert_same_strategy(&v1, &v2);
@@ -387,31 +370,20 @@ fn router_matrix_v1_and_v2_agree_through_a_real_cluster() {
     // bare v1 line, answered wrapped.
     let mut wrapped = Vec::new();
     frame::write_frame(&mut wrapped, op::JSON_REQ, plan_line(3).as_bytes());
-    let Split::V2Frame {
-        op: wrapped_op,
-        payload,
-        ..
-    } = frame::split(&wrapped)
-    else {
-        panic!("encoder produced a non-frame");
-    };
-    let mut out = Vec::new();
-    let shutdown = cluster.router.handle_frame(wrapped_op, payload, &mut out);
-    assert!(!shutdown);
-    let Split::V2Frame {
-        op: resp_op,
-        payload: resp_payload,
-        ..
-    } = frame::split(&out)
-    else {
-        panic!("router answered a frame with a non-frame");
+    stream.write_all(&wrapped).unwrap();
+    let mut buf = Vec::new();
+    let Msg::Frame(resp_op, resp_payload) = read_message(&mut stream, &mut buf) else {
+        panic!("router answered a frame with a line");
     };
     assert_eq!(resp_op, op::JSON_RESP);
-    let v3 = jsonio::parse(std::str::from_utf8(resp_payload).unwrap()).unwrap();
+    let v3 = jsonio::parse(std::str::from_utf8(&resp_payload).unwrap()).unwrap();
     assert_eq!(v3.get("ok").and_then(Value::as_bool), Some(true), "{v3:?}");
     assert!(v3.get("shard").is_some(), "wrapped lines get router stamps");
     assert_same_strategy(&v1, &v3);
 
+    drop(stream);
+    front.stop();
+    drop(front);
     cluster.shutdown();
     let _ = std::fs::remove_dir_all(&data_root);
 }
