@@ -10,6 +10,7 @@
 pub use pager_profiles::estimators::{empirical, recency_weighted, total_variation};
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a self-distance is exactly zero")]
 mod tests {
     use super::*;
 

@@ -134,6 +134,7 @@ impl EventQueue {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "event times are exact binary fractions")]
 mod tests {
     use super::*;
 

@@ -143,6 +143,7 @@ impl Extend<f64> for Accumulator {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "min, max and one-sample means are exact")]
 mod tests {
     use super::*;
 

@@ -210,7 +210,6 @@ impl fmt::Display for Value {
             // `{}` on f64 is Rust's shortest round-trip form, but
             // renders integral floats without a marker; add `.0` so
             // the value re-parses as Float.
-            // lint:allow(no-float-eq): fract()==0.0 is the exact integrality test
             Value::Float(x) if x.fract() == 0.0 && x.abs() < 1e15 => write!(f, "{x:.1}"),
             Value::Float(x) => write!(f, "{x}"),
             Value::Str(s) => write_escaped(f, s),

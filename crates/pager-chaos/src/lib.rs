@@ -44,6 +44,9 @@
 //! through a [`net::ChaosNet`]; `pager-cluster::invariants` asserts
 //! the cluster's safety properties after each schedule.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 

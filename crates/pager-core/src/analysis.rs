@@ -128,6 +128,7 @@ impl StrategyReport {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "a zero saving is exact")]
 mod tests {
     use super::*;
 

@@ -65,8 +65,8 @@ pub fn greedy_strategy_bounded_cancel(
     let order = instance.cells_by_weight_desc();
     let rows: Vec<&[f64]> = instance.rows().collect();
     let g = conference_stop_probs(&rows, &order);
+    #[expect(clippy::expect_used, reason = "b*d >= c was checked: split exists")]
     let split =
-        // lint:allow(no-unwrap-outside-tests): b*d >= c was checked above, so the split exists
         optimal_split_cancel(&g, d, Some(bandwidth), cancel)?.expect("feasibility checked above");
     let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)?;
     Ok(PlannedStrategy {

@@ -262,7 +262,9 @@ fn optimal_over_types(
         }
         groups.push(group);
     }
+    #[expect(clippy::expect_used, reason = "the type chain partitions the cells")]
     let strategy = Strategy::new(groups).expect("type chain partitions the cells");
+    #[expect(clippy::expect_used, reason = "the strategy spans this instance")]
     let expected_paging = instance
         .expected_paging(&strategy)
         .expect("dimensions match");

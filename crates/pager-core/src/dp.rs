@@ -78,9 +78,9 @@ pub struct ExactSplit {
 /// Returns `None` when the split is infeasible: `d == 0`, `d > c`, or
 /// `d·b < c` under a bandwidth cap.
 #[must_use]
+#[expect(clippy::expect_used, reason = "a never-firing token cannot cancel")]
 pub fn optimal_split(g: &[f64], d: usize, max_group: Option<usize>) -> Option<Split> {
     optimal_split_cancel(g, d, max_group, &CancelToken::never())
-        // lint:allow(no-unwrap-outside-tests): a never-firing token cannot cancel
         .expect("a never-firing token cannot cancel the DP")
 }
 
@@ -256,6 +256,7 @@ pub fn conference_stop_probs_exact(rows: &[&[Ratio]], order: &[usize]) -> Vec<Ra
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "zero savings and g[0] are exact zeros")]
 mod tests {
     use super::*;
 

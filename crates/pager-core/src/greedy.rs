@@ -61,9 +61,9 @@ pub fn greedy_strategy(instance: &Instance, delay: Delay) -> Strategy {
 
 /// Like [`greedy_strategy`], also returning the expected paging.
 #[must_use]
+#[expect(clippy::expect_used, reason = "a never-firing token cannot cancel")]
 pub fn greedy_strategy_planned(instance: &Instance, delay: Delay) -> PlannedStrategy {
     greedy_strategy_planned_cancel(instance, delay, &CancelToken::never())
-        // lint:allow(no-unwrap-outside-tests): a never-firing token cannot cancel
         .expect("a never-firing token cannot cancel the planner")
 }
 
@@ -83,9 +83,8 @@ pub fn greedy_strategy_planned_cancel(
     let order = instance.cells_by_weight_desc();
     let rows: Vec<&[f64]> = instance.rows().collect();
     let g = conference_stop_probs(&rows, &order);
-    let split =
-        // lint:allow(no-unwrap-outside-tests): d <= c after clamping, so the split exists
-        optimal_split_cancel(&g, d, None, cancel)?.expect("clamped delay always feasible");
+    #[expect(clippy::expect_used, reason = "d <= c after clamping: split exists")]
+    let split = optimal_split_cancel(&g, d, None, cancel)?.expect("clamped delay always feasible");
     let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)?;
     Ok(PlannedStrategy {
         expected_paging: c as f64 - split.savings,
@@ -97,20 +96,15 @@ pub fn greedy_strategy_planned_cancel(
 /// cell sequencing and dynamic program, evaluated over the rationals so
 /// the planned strategy and its expected paging are certified.
 #[must_use]
+#[expect(clippy::expect_used, reason = "clamped d; DP sizes partition order")]
 pub fn greedy_strategy_exact(instance: &ExactInstance, delay: Delay) -> ExactPlannedStrategy {
     let c = instance.num_cells();
     let d = delay.clamp_to_cells(c).get();
     let order = instance.cells_by_weight_desc();
     let rows: Vec<&[Ratio]> = instance.rows().collect();
     let g = conference_stop_probs_exact(&rows, &order);
-    // lint:allow(no-unwrap-outside-tests): this fn is the infallible
-    // exact-rational twin of the planned path — 1 <= d <= c after
-    // clamping, so the unconstrained DP split always exists and its
-    // sizes partition the order by construction.
     let split = optimal_split_exact(&g, d, None).expect("clamped delay always feasible");
     let strategy = Strategy::from_order_and_sizes(&order, &split.sizes)
-        // lint:allow(no-unwrap-outside-tests): sizes come from the DP
-        // over this same order; they sum to c by the DP invariant.
         .expect("DP split sizes partition the order");
     ExactPlannedStrategy {
         expected_paging: &Ratio::from(c) - &split.savings,

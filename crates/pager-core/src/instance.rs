@@ -69,6 +69,12 @@ impl core::fmt::Display for Delay {
 /// assert!((inst.cell_weight(0) - 0.7).abs() < 1e-12);
 /// # Ok::<(), pager_core::Error>(())
 /// ```
+///
+/// The rows are private, so only [`Instance::from_rows`] can build one:
+///
+/// ```compile_fail,E0451
+/// let inst = pager_core::Instance { rows: vec![] };
+/// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Instance {
     /// `rows[i][j]` = probability device `i` is in cell `j`.
@@ -215,6 +221,7 @@ impl Instance {
     /// sum so rows sum to exactly one.
     #[must_use]
     pub fn to_exact(&self) -> ExactInstance {
+        #[expect(clippy::expect_used, reason = "validated probabilities are finite")]
         let rows = self
             .rows
             .iter()
@@ -235,7 +242,12 @@ impl Instance {
 ///
 /// Used by the NP-hardness reductions (Section 3) and the Section 4.3
 /// lower-bound certification, where `f64` rounding could flip a
-/// comparison.
+/// comparison. Like [`Instance`], it is built only through the
+/// validating [`ExactInstance::from_rows`]:
+///
+/// ```compile_fail,E0451
+/// let inst = pager_core::ExactInstance { rows: vec![] };
+/// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ExactInstance {
     rows: Vec<Vec<Ratio>>,
@@ -338,6 +350,7 @@ impl ExactInstance {
     /// Panics if the rounded rows fail `f64` validation, which cannot
     /// happen for a valid exact instance.
     #[must_use]
+    #[expect(clippy::expect_used, reason = "valid exact rows round to valid rows")]
     pub fn to_f64(&self) -> Instance {
         let rows: Vec<Vec<f64>> = self
             .rows
@@ -356,6 +369,7 @@ impl ExactInstance {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "parsed zero entries are exact")]
 mod tests {
     use super::*;
 

@@ -144,6 +144,7 @@ impl ExactInstance {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "JSON round trips are bit-exact")]
 mod tests {
     use super::*;
 

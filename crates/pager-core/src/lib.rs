@@ -41,6 +41,9 @@
 //! # Ok::<(), pager_core::Error>(())
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 #![forbid(unsafe_code)]
 // Index-based loops are the clearer idiom in limb- and DP-style
 // arithmetic where several arrays are co-indexed.

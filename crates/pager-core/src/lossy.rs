@@ -179,6 +179,7 @@ pub fn expected_paging_lossy_single_round(c: usize, p: f64) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "these probabilities are exact")]
 mod tests {
     use super::*;
     use crate::instance::Delay;

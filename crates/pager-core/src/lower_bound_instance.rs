@@ -29,14 +29,13 @@ pub const D: usize = 2;
 ///
 /// Never panics: the construction is statically valid.
 #[must_use]
+#[expect(clippy::expect_used, reason = "paper rows are sevenths summing to 1")]
 pub fn instance_exact() -> ExactInstance {
     let f = |n: i64| Ratio::from_fraction(n, 7);
     // Device 1: 2/7 in cell 1, 1/7 in cells 2..6, 0 in cells 7, 8.
     let row1 = vec![f(2), f(1), f(1), f(1), f(1), f(1), f(0), f(0)];
     // Device 2: 0 in cell 1, 1/7 in cells 2..8.
     let row2 = vec![f(0), f(1), f(1), f(1), f(1), f(1), f(1), f(1)];
-    // lint:allow(no-unwrap-outside-tests): paper-constant rows; each
-    // sums to exactly 7/7 and every entry is a non-negative seventh.
     ExactInstance::from_rows(vec![row1, row2]).expect("the Section 4.3 instance is valid")
 }
 
@@ -74,10 +73,9 @@ pub fn ratio() -> Ratio {
 ///
 /// Never panics: the strategy is statically valid.
 #[must_use]
+#[expect(clippy::expect_used, reason = "a literal partition of 0..8")]
 pub fn optimal_strategy() -> crate::strategy::Strategy {
     crate::strategy::Strategy::new(vec![vec![1, 2, 3, 4, 5], vec![0, 6, 7]])
-        // lint:allow(no-unwrap-outside-tests): a literal partition of
-        // 0..8 into two non-empty groups — valid by inspection.
         .expect("the optimal strategy is valid")
 }
 
@@ -95,6 +93,7 @@ pub fn optimal_strategy() -> crate::strategy::Strategy {
 /// Panics if `denom < 200` — the perturbation `1/denom` must be small
 /// enough to keep all entries positive and the ordering intact.
 #[must_use]
+#[expect(clippy::expect_used, reason = "the asserts above re-check from_rows")]
 pub fn perturbed_exact(denom: i64) -> ExactInstance {
     assert!(denom >= 200, "perturbation 1/{denom} too large");
     let eps = Ratio::from_fraction(1, denom);
@@ -127,9 +126,6 @@ pub fn perturbed_exact(denom: i64) -> ExactInstance {
     for p in row1.iter_mut().chain(row2.iter_mut()) {
         assert!(p.is_positive(), "perturbed probability must be positive");
     }
-    // lint:allow(no-unwrap-outside-tests): the asserts directly above
-    // re-verify exactly what `from_rows` checks (row sums of one,
-    // positive entries), so failure here is unreachable.
     ExactInstance::from_rows(vec![row1, row2]).expect("perturbed instance is valid")
 }
 

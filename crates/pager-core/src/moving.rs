@@ -164,6 +164,7 @@ pub fn simulate_moving(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "static devices give exact reports")]
 mod tests {
     use super::*;
     use crate::greedy::greedy_strategy;

@@ -40,6 +40,7 @@ pub const SUBSET_DP_MAX_CELLS: usize = 18;
 ///
 /// Panics if `c >` [`EXHAUSTIVE_MAX_CELLS`] — use
 /// [`optimal_subset_dp`] or the heuristic instead.
+#[expect(clippy::expect_used, reason = "stored assignments are onto; d <= c")]
 pub fn optimal_exhaustive(instance: &Instance, delay: Delay) -> Result<PlannedStrategy> {
     let c = instance.num_cells();
     let d = delay.get();
@@ -85,6 +86,7 @@ pub fn optimal_exhaustive(instance: &Instance, delay: Delay) -> Result<PlannedSt
 /// # Panics
 ///
 /// Panics if `c >` [`EXHAUSTIVE_MAX_CELLS`].
+#[expect(clippy::expect_used, reason = "stored assignments are onto; d <= c")]
 pub fn optimal_exhaustive_exact(
     instance: &ExactInstance,
     delay: Delay,
@@ -271,6 +273,7 @@ pub fn optimal_subset_dp_cancel(
         groups.push(cells);
         prev = l;
     }
+    #[expect(clippy::expect_used, reason = "the DP chain yields a partition")]
     let strategy = Strategy::new(groups).expect("chain yields a partition");
     Ok(PlannedStrategy {
         expected_paging: c as f64 - savings,
@@ -289,6 +292,7 @@ pub fn optimal_subset_dp_cancel(
 ///
 /// Panics if `c > 24` (the enumeration would not terminate in
 /// reasonable time).
+#[expect(clippy::expect_used, reason = "c >= 2 yields masks; each splits cells")]
 pub fn optimal_two_round_exact(instance: &ExactInstance) -> Result<ExactPlannedStrategy> {
     let c = instance.num_cells();
     if c < 2 {

@@ -143,8 +143,9 @@ pub fn greedy_signature_cancel(
     let order = instance.cells_by_weight_desc();
     let g = signature_stop_probs(instance, &order, k);
     cancel.check()?;
-    // lint:allow(no-unwrap-outside-tests): d <= c after clamping, so the split exists
+    #[expect(clippy::expect_used, reason = "d <= c after clamping: split exists")]
     let split = optimal_split_cancel(&g, d, None, cancel)?.expect("clamped delay is feasible");
+    #[expect(clippy::expect_used, reason = "the DP split sizes partition the order")]
     let strategy =
         Strategy::from_order_and_sizes(&order, &split.sizes).expect("split partitions the order");
     Ok(PlannedStrategy {
@@ -163,6 +164,7 @@ pub fn greedy_signature_cancel(
 /// # Panics
 ///
 /// Panics if `c >` [`crate::optimal::EXHAUSTIVE_MAX_CELLS`].
+#[expect(clippy::expect_used, reason = "stored assignments are onto; d <= c")]
 pub fn optimal_signature_exhaustive(
     instance: &Instance,
     delay: Delay,
@@ -246,6 +248,7 @@ pub fn run_search_signature(strategy: &Strategy, placements: &[usize], k: usize)
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the degenerate cases are exact")]
 mod tests {
     use super::*;
 

@@ -140,6 +140,7 @@ pub fn simulate(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "one-round blanket paging is exact")]
 mod tests {
     use super::*;
 

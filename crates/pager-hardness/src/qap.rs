@@ -178,6 +178,7 @@ pub fn solve_via_qap(instance: &Instance) -> (Strategy, f64) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the QAP value is a small integer")]
 mod tests {
     use super::*;
     use pager_core::optimal::optimal_subset_dp;

@@ -3,7 +3,7 @@
 //! The policy is code, not a config file — the point of a
 //! workspace-native linter is that the rules encode *this* workspace's
 //! invariants (shard-before-latest-time lock order, metrics-only
-//! Relaxed atomics, validated `Instance` construction), and changing an
+//! Relaxed atomics, reactor entry points), and changing an
 //! invariant should be a reviewed code change next to the rule that
 //! enforces it.
 
@@ -174,43 +174,12 @@ pub const BLOCKING_APIS: &[BlockingApi] = &[
 pub struct Policy;
 
 impl Policy {
-    /// `no-unwrap-outside-tests` applies to library/binary code of the
-    /// crates on the serving path; solver crates and tools keep their
-    /// (baselined) panics until they are migrated.
-    #[must_use]
-    pub fn unwrap_denied(&self, path: &str) -> bool {
-        (path.starts_with("crates/pager-core/src/")
-            || path.starts_with("crates/pager-service/src/")
-            || path.starts_with("crates/pager-reactor/src/")
-            || path.starts_with("crates/pager-chaos/src/")
-            || Self::DURABILITY_PATHS.contains(&path))
-            && !Self::is_test_path(path)
-    }
-
-    /// The durability modules are panic-free from day one: recovery
-    /// code runs against arbitrarily corrupt on-disk state, so every
-    /// unwrap there is a latent crash on someone's bad disk. The rest
-    /// of `pager-profiles` keeps its (pre-existing, baselined)
-    /// `expect`s until migrated.
-    const DURABILITY_PATHS: &'static [&'static str] = &[
-        "crates/pager-profiles/src/wal.rs",
-        "crates/pager-profiles/src/io.rs",
-        "crates/pager-profiles/src/durable.rs",
-    ];
-
     /// `atomics-ordering-audit` applies everywhere except the metrics
     /// module, whose counters are monotone and independent (Relaxed is
     /// the documented norm there).
     #[must_use]
     pub fn atomics_audited(&self, path: &str) -> bool {
         path != "crates/pager-service/src/metrics.rs" && !Self::is_test_path(path)
-    }
-
-    /// `no-raw-instance-literal` applies outside `pager-core`, which
-    /// owns `Instance` and is allowed to construct it directly.
-    #[must_use]
-    pub fn instance_literal_denied(&self, path: &str) -> bool {
-        !path.starts_with("crates/pager-core/src/") && !Self::is_test_path(path)
     }
 
     /// Whether the path is test/bench/example scaffolding (distinct
@@ -287,24 +256,8 @@ mod tests {
     #[test]
     fn scoping() {
         let p = Policy;
-        assert!(p.unwrap_denied("crates/pager-core/src/dp.rs"));
-        assert!(p.unwrap_denied("crates/pager-service/src/server.rs"));
-        assert!(p.unwrap_denied("crates/pager-reactor/src/reactor.rs"));
-        // The chaos proxy serves fault injection to tests, but its own
-        // library code must not panic mid-schedule.
-        assert!(p.unwrap_denied("crates/pager-chaos/src/proxy.rs"));
-        assert!(!p.unwrap_denied("crates/cellnet/src/system.rs"));
-        assert!(!p.unwrap_denied("crates/pager-core/tests/dp.rs"));
-        // Durability modules are covered; the rest of pager-profiles
-        // is not (yet).
-        assert!(p.unwrap_denied("crates/pager-profiles/src/wal.rs"));
-        assert!(p.unwrap_denied("crates/pager-profiles/src/io.rs"));
-        assert!(p.unwrap_denied("crates/pager-profiles/src/durable.rs"));
-        assert!(!p.unwrap_denied("crates/pager-profiles/src/store.rs"));
         assert!(!p.atomics_audited("crates/pager-service/src/metrics.rs"));
         assert!(p.atomics_audited("crates/pager-profiles/src/store.rs"));
-        assert!(p.instance_literal_denied("crates/pager-service/src/service.rs"));
-        assert!(!p.instance_literal_denied("crates/pager-core/src/instance.rs"));
         assert!(Policy::is_test_path("crates/pager-core/tests/x.rs"));
         assert!(Policy::is_test_path(
             "crates/pager-lint/tests/fixtures/bad.rs"

@@ -6,7 +6,7 @@
 //! exactly so that a `==` inside a doc comment or a `".unwrap()"` in a
 //! test fixture string can never produce a finding. Comments are not
 //! discarded — they are collected separately so the suppression pass
-//! can find `lint:allow(...)` markers.
+//! can find `lint:allow` markers.
 //!
 //! Everything else is tokenised coarsely: identifiers (including raw
 //! `r#idents`), lifetimes, integer and float literals (distinguished —
@@ -20,10 +20,8 @@
 pub enum TokenKind {
     /// An identifier or keyword (also raw identifiers, without `r#`).
     Ident,
-    /// An integer literal (no fraction or exponent).
-    Int,
-    /// A float literal (`1.0`, `1e3`, `2f64`, ...).
-    Float,
+    /// A numeric literal (`1`, `0x1F`, `1.5`, `1e3`, `2f64`, ...).
+    Number,
     /// A string literal of any flavour (`"…"`, `r#"…"#`, `b"…"`).
     Str,
     /// A char literal (`'x'`, `'\n'`).
@@ -180,9 +178,9 @@ pub fn lex(source: &str) -> Lexed {
                 i = end;
             }
             b'0'..=b'9' => {
-                let (kind, end) = scan_number(bytes, i);
+                let end = scan_number(bytes, i);
                 out.tokens.push(Token {
-                    kind,
+                    kind: TokenKind::Number,
                     text: source[i..end].to_string(),
                     line,
                 });
@@ -358,18 +356,16 @@ fn scan_char_or_lifetime(bytes: &[u8], start: usize) -> (TokenKind, usize, u32) 
     (TokenKind::Punct, start + 1, 0)
 }
 
-/// Scans a number; floats are `1.5`, `1.`, `1e3`, `1E-3`, or any
-/// numeric with an `f32`/`f64` suffix. `1..2` and `1.max(2)` stay
-/// integers.
-fn scan_number(bytes: &[u8], start: usize) -> (TokenKind, usize) {
+/// Scans a number: `1.5`, `1.`, `1e3`, `1E-3` and suffixed forms are
+/// one token, while `1..2` and `1.max(2)` end the number at the dot.
+fn scan_number(bytes: &[u8], start: usize) -> usize {
     let mut i = start;
-    let mut float = false;
     if bytes[i] == b'0' && matches!(bytes.get(i + 1), Some(b'x' | b'o' | b'b')) {
         i += 2;
         while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
             i += 1;
         }
-        return (TokenKind::Int, i);
+        return i;
     }
     while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
         i += 1;
@@ -378,7 +374,6 @@ fn scan_number(bytes: &[u8], start: usize) -> (TokenKind, usize) {
         let after = bytes.get(i + 1).copied();
         let range_or_method = after == Some(b'.') || is_ident_start(after);
         if !range_or_method {
-            float = true;
             i += 1;
             while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
                 i += 1;
@@ -391,30 +386,17 @@ fn scan_number(bytes: &[u8], start: usize) -> (TokenKind, usize) {
             j += 1;
         }
         if bytes.get(j).is_some_and(u8::is_ascii_digit) {
-            float = true;
             i = j;
             while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'_') {
                 i += 1;
             }
         }
     }
-    // Type suffix: f32/f64 forces float; u*/i* stays int.
-    let suffix_start = i;
+    // Type suffix (`f64`, `u32`, ...).
     while i < bytes.len() && is_ident_continue(bytes[i]) {
         i += 1;
     }
-    let suffix = &bytes[suffix_start..i];
-    if suffix == b"f32" || suffix == b"f64" {
-        float = true;
-    }
-    (
-        if float {
-            TokenKind::Float
-        } else {
-            TokenKind::Int
-        },
-        i,
-    )
+    i
 }
 
 #[cfg(test)]
@@ -523,23 +505,20 @@ mod tests {
     }
 
     #[test]
-    fn float_vs_int_literals() {
+    fn number_literals_are_single_tokens() {
         let toks = kinds("1 1.5 1. 1e3 1E-3 2f64 3f32 4u32 0x1F 1..2 1.max(2) 1_000 1_000.5");
-        let floats: Vec<&str> = toks
+        let numbers: Vec<&str> = toks
             .iter()
-            .filter(|(k, _)| *k == TokenKind::Float)
+            .filter(|(k, _)| *k == TokenKind::Number)
             .map(|(_, t)| t.as_str())
             .collect();
         assert_eq!(
-            floats,
-            vec!["1.5", "1.", "1e3", "1E-3", "2f64", "3f32", "1_000.5"]
+            numbers,
+            vec![
+                "1", "1.5", "1.", "1e3", "1E-3", "2f64", "3f32", "4u32", "0x1F", "1", "2", "1",
+                "2", "1_000", "1_000.5"
+            ]
         );
-        let ints: Vec<&str> = toks
-            .iter()
-            .filter(|(k, _)| *k == TokenKind::Int)
-            .map(|(_, t)| t.as_str())
-            .collect();
-        assert!(ints.contains(&"4u32") && ints.contains(&"0x1F") && ints.contains(&"1_000"));
     }
 
     #[test]

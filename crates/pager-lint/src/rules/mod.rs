@@ -8,16 +8,13 @@
 
 pub mod atomics;
 pub mod atomics_pairing;
-pub mod float_eq;
-pub mod instance_literal;
 pub mod lock_order;
 pub mod reactor_blocking;
 pub mod unsafe_audit;
-pub mod unwrap;
 
 use crate::config::Policy;
 use crate::findings::Finding;
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::Token;
 
 /// A half-open token range `[open, close]` of one `fn` body's braces.
 #[derive(Debug, Clone, Copy)]
@@ -75,10 +72,7 @@ impl FileContext<'_> {
 #[must_use]
 pub fn run_all(ctx: &FileContext<'_>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    findings.extend(float_eq::check(ctx));
-    findings.extend(unwrap::check(ctx));
     findings.extend(atomics::check(ctx));
-    findings.extend(instance_literal::check(ctx));
     findings.extend(lock_order::check(ctx));
     findings.sort_by(|a, b| a.line.cmp(&b.line).then_with(|| a.rule.cmp(b.rule)));
     findings.dedup();
@@ -151,35 +145,11 @@ pub struct RuleInfo {
 /// The rule catalog, per-file rules first.
 pub const RULES: &[RuleInfo] = &[
     RuleInfo {
-        name: "no-float-eq",
-        summary: "no == / != on floating-point operands",
-        rationale: "Cost computations mix rationals and floats; exact float comparison \
-                    hides platform-dependent rounding. Compare against an explicit \
-                    epsilon or use the rational types.",
-        allow: "// lint:allow(no-float-eq): <why exact equality is sound here>",
-    },
-    RuleInfo {
-        name: "no-unwrap-outside-tests",
-        summary: "no unwrap/expect/panic on the serving path",
-        rationale: "The service answers paging queries under a deadline; a panic tears \
-                    down the worker and drops in-flight requests. Return Result and let \
-                    the dispatcher shed instead.",
-        allow: "// lint:allow(no-unwrap-outside-tests): <why this cannot panic>",
-    },
-    RuleInfo {
         name: "atomics-ordering-audit",
         summary: "every atomic op names an audited memory ordering",
         rationale: "SeqCst-by-default hides the actual handoff protocol; each atomic \
                     use site must state (and justify) the ordering it needs.",
         allow: "// lint:allow(atomics-ordering-audit): <why this ordering is right>",
-    },
-    RuleInfo {
-        name: "no-raw-instance-literal",
-        summary: "construct Instance via its validated constructors",
-        rationale: "Instance invariants (probabilities sum to 1, positive cell count) \
-                    are checked in pager-core's constructors; literal construction \
-                    elsewhere bypasses them.",
-        allow: "// lint:allow(no-raw-instance-literal): <why the invariant holds>",
     },
     RuleInfo {
         name: "lock-order",
@@ -382,96 +352,6 @@ pub fn fn_spans(tokens: &[Token]) -> Vec<FnSpan> {
     spans
 }
 
-/// Tokens that terminate an operand scan for `==` / `!=` at depth 0.
-fn is_operand_boundary(t: &Token) -> bool {
-    if t.kind == TokenKind::Punct {
-        return matches!(
-            t.text.as_str(),
-            "," | ";"
-                | "{"
-                | "}"
-                | "=="
-                | "!="
-                | "="
-                | "<"
-                | ">"
-                | "<="
-                | ">="
-                | "&&"
-                | "||"
-                | "=>"
-                | ".."
-                | "..="
-                | "+"
-                | "-"
-                | "*"
-                | "/"
-                | "%"
-                | "!"
-                | "?"
-        );
-    }
-    t.kind == TokenKind::Ident
-        && matches!(
-            t.text.as_str(),
-            "return" | "if" | "while" | "match" | "let" | "else" | "in"
-        )
-}
-
-/// The operand tokens to the left of the comparison at `op`, in source
-/// order, stopping at unbalanced brackets or expression boundaries.
-#[must_use]
-pub fn operand_left(tokens: &[Token], op: usize) -> Vec<&Token> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut j = op;
-    while j > 0 {
-        j -= 1;
-        let t = &tokens[j];
-        if t.is_punct(")") || t.is_punct("]") {
-            depth += 1;
-        } else if t.is_punct("(") || t.is_punct("[") {
-            depth -= 1;
-            if depth < 0 {
-                break;
-            }
-        } else if depth == 0 && is_operand_boundary(t) {
-            break;
-        }
-        out.push(t);
-    }
-    out.reverse();
-    out
-}
-
-/// The operand tokens to the right of the comparison at `op`.
-#[must_use]
-pub fn operand_right(tokens: &[Token], op: usize) -> Vec<&Token> {
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut j = op + 1;
-    // A leading unary minus or negation is part of the operand.
-    while j < tokens.len() && (tokens[j].is_punct("-") || tokens[j].is_punct("!")) {
-        j += 1;
-    }
-    while j < tokens.len() {
-        let t = &tokens[j];
-        if t.is_punct("(") || t.is_punct("[") {
-            depth += 1;
-        } else if t.is_punct(")") || t.is_punct("]") {
-            depth -= 1;
-            if depth < 0 {
-                break;
-            }
-        } else if depth == 0 && is_operand_boundary(t) {
-            break;
-        }
-        out.push(t);
-        j += 1;
-    }
-    out
-}
-
 #[cfg(test)]
 pub(crate) mod tests_support {
     use super::{fn_spans, test_regions, FileContext};
@@ -562,23 +442,5 @@ fn after() {}
         let spans = fn_spans(&lexed.tokens);
         assert_eq!(spans.len(), 1);
         assert!(lexed.tokens[spans[0].open].is_punct("{"));
-    }
-
-    #[test]
-    fn operand_scans_stop_at_boundaries() {
-        let src = "if a[i].b(c, d) == f64::MAX && y != 2 { }";
-        let lexed = lex(src);
-        let eq = lexed.tokens.iter().position(|t| t.is_punct("==")).unwrap();
-        let left: Vec<&str> = operand_left(&lexed.tokens, eq)
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect();
-        assert!(left.contains(&"a") && left.contains(&"d"));
-        assert!(!left.contains(&"if"));
-        let right: Vec<&str> = operand_right(&lexed.tokens, eq)
-            .iter()
-            .map(|t| t.text.as_str())
-            .collect();
-        assert_eq!(right, vec!["f64", "::", "MAX"]);
     }
 }

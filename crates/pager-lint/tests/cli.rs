@@ -1,5 +1,5 @@
-//! End-to-end tests of the `pager-lint` binary: baseline workflow,
-//! exit codes, JSON output, and detection of seeded violations.
+//! End-to-end tests of the `pager-lint` binary: exit codes, inline
+//! suppression, JSON output, and detection of seeded violations.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -33,29 +33,46 @@ fn run(root: &Path, args: &[&str]) -> (i32, String, String) {
     )
 }
 
+/// A bare `Relaxed` load outside the metrics module.
+const RELAXED: &str = "use std::sync::atomic::{AtomicBool, Ordering};\n\
+                       pub fn f(x: &AtomicBool) -> bool { x.load(Ordering::Relaxed) }\n";
+
 #[test]
 fn clean_tree_exits_zero_and_seeded_violations_fail() {
     let root = fixture_workspace("seed");
 
-    // Clean tree, no baseline: exit 0.
+    // Clean tree: exit 0.
     let (code, _, stderr) = run(&root, &[]);
     assert_eq!(code, 0, "{stderr}");
 
-    // Seed a float-eq violation: exit 1 and the finding is reported.
+    // Seed a bare Relaxed: exit 1 and the finding is reported.
     let bad = root.join("crates/pager-core/src/bad.rs");
-    std::fs::write(&bad, "pub fn eq(a: f64, b: f64) -> bool { a == b }\n").expect("write bad");
+    std::fs::write(&bad, RELAXED).expect("write bad");
     let (code, stdout, _) = run(&root, &[]);
     assert_eq!(code, 1);
-    assert!(stdout.contains("no-float-eq"), "{stdout}");
+    assert!(stdout.contains("atomics-ordering-audit"), "{stdout}");
 
-    // Grandfather it, then the same tree passes.
-    let (code, _, _) = run(&root, &["--write-baseline"]);
-    assert_eq!(code, 0);
-    let (code, _, _) = run(&root, &[]);
-    assert_eq!(code, 0);
+    // A justified inline allow clears it.
+    let allowed = RELAXED.replace(
+        "pub fn",
+        "// lint:allow(atomics-ordering-audit): flag read for a report only\npub fn",
+    );
+    std::fs::write(&bad, allowed).expect("write allowed");
+    let (code, _, stderr) = run(&root, &[]);
+    assert_eq!(code, 0, "{stderr}");
 
-    // A *new* violation on top of the baseline still fails: nested
-    // locks acquired against the declared order.
+    // An allow naming no known rule is itself a finding.
+    std::fs::write(
+        root.join("crates/pager-core/src/typo.rs"),
+        "// lint:allow(lock-ordr)\n",
+    )
+    .expect("write typo");
+    let (code, stdout, _) = run(&root, &[]);
+    assert_eq!(code, 1);
+    assert!(stdout.contains("typo.rs:1: [unknown-allow]"), "{stdout}");
+    std::fs::remove_file(root.join("crates/pager-core/src/typo.rs")).expect("rm typo");
+
+    // Nested locks acquired against the declared order fail too.
     std::fs::write(
         root.join("crates/pager-core/src/locks.rs"),
         "pub fn bad(a: &S) {\n    let t = a.latest_time.lock().unwrap();\n    \
@@ -72,26 +89,22 @@ fn clean_tree_exits_zero_and_seeded_violations_fail() {
 #[test]
 fn json_output_is_machine_readable() {
     let root = fixture_workspace("json");
-    std::fs::write(
-        root.join("crates/pager-core/src/bad.rs"),
-        "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }\n",
-    )
-    .expect("write bad");
+    std::fs::write(root.join("crates/pager-core/src/bad.rs"), RELAXED).expect("write bad");
     let (code, stdout, _) = run(&root, &["--json"]);
     assert_eq!(code, 1);
     let doc = jsonio::parse(&stdout).expect("valid JSON");
     assert_eq!(
         doc.get("format").and_then(jsonio::Value::as_str),
-        Some("pager-lint/v1")
+        Some("pager-lint/v2")
     );
-    let new = doc
-        .get("new_findings")
+    let findings = doc
+        .get("findings")
         .and_then(jsonio::Value::as_array)
-        .expect("new_findings array");
-    assert_eq!(new.len(), 1);
+        .expect("findings array");
+    assert_eq!(findings.len(), 1);
     assert_eq!(
-        new[0].get("rule").and_then(jsonio::Value::as_str),
-        Some("no-unwrap-outside-tests")
+        findings[0].get("rule").and_then(jsonio::Value::as_str),
+        Some("atomics-ordering-audit")
     );
     std::fs::remove_dir_all(&root).expect("cleanup");
 }

@@ -46,6 +46,11 @@
 //! therefore planning — keep serving from memory. The process stays
 //! up; the operator replaces the disk.
 
+// Recovery runs against arbitrarily corrupt disks: no panics here.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

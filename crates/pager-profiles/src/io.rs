@@ -22,6 +22,11 @@
 //! directory is synced, and unsynced file content may tear at any byte
 //! (with an occasional flipped bit in the torn tail).
 
+// Recovery runs against arbitrarily corrupt disks: no panics here.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};

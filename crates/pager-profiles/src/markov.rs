@@ -122,7 +122,7 @@ impl MarkovModel {
         for _ in 0..steps {
             next.iter_mut().for_each(|x| *x = 0.0);
             for (i, &mass) in dist.iter().enumerate() {
-                // lint:allow(no-float-eq): exact-zero skip is an optimisation only
+                // The exact-zero skip is an optimisation only
                 if mass == 0.0 {
                     continue;
                 }

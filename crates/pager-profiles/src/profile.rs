@@ -381,6 +381,7 @@ fn read_f64s(value: &Value, key: &str, expected: usize) -> Result<Vec<f64>, Stri
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "the weight at age zero is exactly one")]
 mod tests {
     use super::*;
     use crate::estimators::{total_variation, uniform};

@@ -24,6 +24,11 @@
 //! recovered log is always a *prefix* of what was appended (the
 //! property the proptests pin down).
 
+// Recovery runs against arbitrarily corrupt disks: no panics here.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 /// One durable sighting: [`crate::store::Sighting`] plus the cell
 /// count it was observed against (a separate argument on the ingest
 /// path, so the WAL carries it explicitly).

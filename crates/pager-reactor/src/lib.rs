@@ -26,6 +26,10 @@
 //! Everything is `#[cfg(target_os = "linux")]`; on other platforms the
 //! crate compiles to an empty shell and TCP serving is unavailable.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 #[cfg(target_os = "linux")]
 pub mod poller;
 #[cfg(target_os = "linux")]

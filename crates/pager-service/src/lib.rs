@@ -58,6 +58,10 @@
 //! assert!(response.plan.expected_paging >= 1.0);
 //! ```
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 pub mod cache;
 pub mod deadline;
 pub mod error;

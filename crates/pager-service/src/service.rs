@@ -241,7 +241,7 @@ impl PagerService {
     pub fn new(config: ServiceConfig) -> PagerService {
         match PagerService::try_new(config) {
             Ok(service) => service,
-            // lint:allow(no-unwrap-outside-tests): documented panicking convenience wrapper
+            #[expect(clippy::panic, reason = "documented panicking convenience wrapper")]
             Err(e) => panic!("PagerService::new: {e}"),
         }
     }
@@ -932,6 +932,7 @@ fn self_mirror_recovery(metrics: &Metrics, report: &RecoveryReport) {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "cached plans must be bit-identical")]
 mod tests {
     use super::*;
     use pager_core::Delay;

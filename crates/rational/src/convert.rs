@@ -55,11 +55,11 @@ impl BigInt {
     /// ```
     #[must_use]
     pub fn from_f64_exact(v: f64) -> Option<BigInt> {
-        // lint:allow(no-float-eq): exact integrality test on IEEE semantics
+        // Exact integrality test on IEEE semantics
         if !v.is_finite() || v.fract() != 0.0 {
             return None;
         }
-        // lint:allow(no-float-eq): exact zero test, ±0.0 both map to zero
+        // Exact zero test, ±0.0 both map to zero
         if v == 0.0 {
             return Some(BigInt::zero());
         }
@@ -169,6 +169,7 @@ impl TryFrom<&BigInt> for usize {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "these conversions are exact")]
 mod tests {
     use super::*;
 

@@ -126,7 +126,7 @@ impl Ratio {
         if !v.is_finite() {
             return None;
         }
-        // lint:allow(no-float-eq): exact zero test, ±0.0 both map to zero
+        // Exact zero test, ±0.0 both map to zero
         if v == 0.0 {
             return Some(Ratio::zero());
         }
@@ -156,7 +156,7 @@ impl Ratio {
         let excess = (nb.max(db) - 900).max(0);
         let n = self.num.shr_bits(excess as u64).to_f64();
         let d = self.den.shr_bits(excess as u64).to_f64();
-        // lint:allow(no-float-eq): exact zero sentinel from shr_bits underflow
+        // Exact zero sentinel from shr_bits underflow
         if d == 0.0 {
             // Denominator vanished under shifting: the value is enormous.
             return if self.num.is_negative() {
@@ -520,6 +520,7 @@ impl<'a> core::iter::Product<&'a Ratio> for Ratio {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "dyadic rationals convert exactly")]
 mod tests {
     use super::*;
 

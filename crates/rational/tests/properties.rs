@@ -1,6 +1,8 @@
 //! Property-based tests for `rational` against `i128` oracles and
 //! algebraic laws that hold at any magnitude.
 
+#![expect(clippy::float_cmp, reason = "f64 round trips are bit-exact")]
+
 use proptest::prelude::*;
 use rational::{BigInt, Ratio};
 
