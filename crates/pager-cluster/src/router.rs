@@ -1370,6 +1370,35 @@ mod tests {
         .unwrap()
     }
 
+    /// The wire names of the `stats.router` object.
+    #[test]
+    fn stats_op_reports_router_counters() {
+        // `stats` is answered locally: the backend is never dialled.
+        let router = one_backend_router("127.0.0.1:1".to_string());
+        let stats = jsonio::parse(&router.handle_line(r#"{"cmd": "stats"}"#).response).unwrap();
+        let Some(Value::Object(fields)) = stats.get("router") else {
+            panic!("no router object: {stats}");
+        };
+        let mut keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            [
+                "breaker_rejections",
+                "byzantine_replies",
+                "failovers",
+                "forwarded",
+                "requests",
+                "retries",
+                "shed_passthrough",
+                "shipped_records",
+                "transport_errors",
+            ]
+        );
+        let requests = stats.get("router").and_then(|r| r.get("requests"));
+        assert_eq!(requests.and_then(Value::as_u64), Some(1));
+    }
+
     #[test]
     fn byzantine_replies_trip_the_breaker() {
         // The reply parses as JSON and echoes the correlation id, so
