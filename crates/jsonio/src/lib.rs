@@ -3,7 +3,7 @@
 //! The crates registry is unavailable in CI, so instead of `serde` +
 //! `serde_json` the workspace uses this small, std-only JSON library:
 //! a [`Value`] model, a strict recursive-descent [`parse`] function,
-//! and a compact writer ([`Value::to_string`] via `Display`).
+//! and a compact writer (`Display`, so `value.to_string()`).
 //!
 //! Design choices:
 //!

@@ -19,10 +19,8 @@
 //! consumes — so a new op is added in `pager-wire` once and both ends
 //! pick it up.
 //!
-//! On Linux the router is a
-//! [`Handler`](pager_service::reactor_server::Handler) for the
-//! `pager-service` connection engine, which serves `pager-cluster
-//! launch`. `PING` frames and malformed or unknown frames are answered
+//! On Linux the router is a [`Handler`] for the `pager-service`
+//! connection engine, which serves `pager-cluster launch`. `PING` frames and malformed or unknown frames are answered
 //! on the shard thread; every other request waits on backend sockets,
 //! so it runs as a job on the engine's I/O pool. v2 `plan` frames are
 //! forwarded shard-ward *without* decoding the matrix: only the
@@ -45,6 +43,7 @@ use std::time::{Duration, Instant};
 
 use jsonio::Value;
 use pager_profiles::Sighting;
+use pager_service::metrics::{Counter, Metric};
 use pager_wire::frame::{self, op};
 use pager_wire::{binary, json, ErrorCode, IdView, PlanFrameView, Request, WireError};
 
@@ -192,48 +191,22 @@ pub(crate) struct ShardNodes {
     pub(crate) replicas: Vec<usize>,
 }
 
-/// Router-side counters, dumped by the `stats` op.
-#[derive(Debug, Default)]
-pub(crate) struct RouterMetrics {
-    pub(crate) requests: AtomicU64,
-    pub(crate) forwarded: AtomicU64,
-    pub(crate) retries: AtomicU64,
-    pub(crate) failovers: AtomicU64,
-    pub(crate) shed_passthrough: AtomicU64,
-    pub(crate) transport_errors: AtomicU64,
-    pub(crate) shipped_records: AtomicU64,
-    pub(crate) breaker_rejections: AtomicU64,
-    /// Replies that arrived intact but are not valid pager responses
-    /// (corrupted or byzantine backend). These trip the breaker like
-    /// transport failures — a garbage-speaking backend must not be
-    /// retried forever.
-    pub(crate) byzantine_replies: AtomicU64,
-}
-
-impl RouterMetrics {
-    pub(crate) fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter, no handoff
-    }
-
-    pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed); // lint:allow(atomics-ordering-audit): monotone counter, no handoff
-    }
-
-    fn to_json(&self) -> Value {
-        let read = |c: &AtomicU64| {
-            Value::from(c.load(Ordering::Relaxed)) // lint:allow(atomics-ordering-audit): report-only read
-        };
-        Value::object(vec![
-            ("requests", read(&self.requests)),
-            ("forwarded", read(&self.forwarded)),
-            ("retries", read(&self.retries)),
-            ("failovers", read(&self.failovers)),
-            ("shed_passthrough", read(&self.shed_passthrough)),
-            ("transport_errors", read(&self.transport_errors)),
-            ("shipped_records", read(&self.shipped_records)),
-            ("breaker_rejections", read(&self.breaker_rejections)),
-            ("byzantine_replies", read(&self.byzantine_replies)),
-        ])
+pager_service::declare_metrics! {
+    /// Router-side counters, dumped by the `stats` op.
+    pub(crate) struct RouterMetrics {
+        pub(crate) requests: Counter,
+        pub(crate) forwarded: Counter,
+        pub(crate) retries: Counter,
+        pub(crate) failovers: Counter,
+        pub(crate) shed_passthrough: Counter,
+        pub(crate) transport_errors: Counter,
+        pub(crate) shipped_records: Counter,
+        pub(crate) breaker_rejections: Counter,
+        /// Replies that arrived intact but are not valid pager responses
+        /// (corrupted or byzantine backend). These trip the breaker like
+        /// transport failures — a garbage-speaking backend must not be
+        /// retried forever.
+        pub(crate) byzantine_replies: Counter,
     }
 }
 
@@ -349,7 +322,7 @@ impl Router {
         let backend = &self.backends[idx];
         let open_until = backend.open_until_micros.load(Ordering::Acquire);
         if open_until > self.now_micros() {
-            RouterMetrics::bump(&self.metrics.breaker_rejections);
+            self.metrics.breaker_rejections.inc();
             return Err(format!("breaker open for {}", backend.node));
         }
         let connect_timeout = self
@@ -414,7 +387,7 @@ impl Router {
         self.with_backend_conn(idx, budget, |conn| {
             let value = conn.round_trip_checked(line)?;
             if value.get("ok").and_then(Value::as_bool).is_none() {
-                RouterMetrics::bump(&self.metrics.byzantine_replies);
+                self.metrics.byzantine_replies.inc();
                 return Err("byzantine reply from backend (no ok field)".to_string());
             }
             Ok(value)
@@ -436,7 +409,7 @@ impl Router {
                 resp_op,
                 op::PLAN_RESP | op::ERROR | op::PONG | op::JSON_RESP
             ) {
-                RouterMetrics::bump(&self.metrics.byzantine_replies);
+                self.metrics.byzantine_replies.inc();
                 return Err(format!(
                     "byzantine reply from backend (response op 0x{resp_op:02X})"
                 ));
@@ -446,7 +419,7 @@ impl Router {
     }
 
     fn record_failure(&self, idx: usize) {
-        RouterMetrics::bump(&self.metrics.transport_errors);
+        self.metrics.transport_errors.inc();
         let backend = &self.backends[idx];
         let failures = backend.failures.fetch_add(1, Ordering::AcqRel) + 1;
         if failures >= self.config.breaker_threshold {
@@ -480,7 +453,7 @@ impl Router {
                     nodes.replicas.remove(0);
                     nodes.owner = next;
                     membership.map.epoch += 1;
-                    RouterMetrics::bump(&self.metrics.failovers);
+                    self.metrics.failovers.inc();
                     if chaos_debug() {
                         eprintln!(
                             "[chaos-debug] promote shard={shard} dead={dead} next={next} epoch={}",
@@ -619,16 +592,16 @@ impl Router {
             let (owner, _, _) = self.shard_snapshot(shard);
             match call(self, owner, remaining) {
                 Ok((value, retry_after)) => {
-                    RouterMetrics::bump(&self.metrics.forwarded);
+                    self.metrics.forwarded.inc();
                     let Some(retry_after) = retry_after else {
                         return Ok((value, owner));
                     };
                     let wait = Duration::from_millis(retry_after);
                     if Instant::now() + wait >= give_up {
-                        RouterMetrics::bump(&self.metrics.shed_passthrough);
+                        self.metrics.shed_passthrough.inc();
                         return Ok((value, owner));
                     }
-                    RouterMetrics::bump(&self.metrics.retries);
+                    self.metrics.retries.inc();
                     std::thread::sleep(wait);
                 }
                 Err(error) => {
@@ -638,7 +611,7 @@ impl Router {
                             "shard {shard} unavailable within deadline: {error}"
                         ));
                     }
-                    RouterMetrics::bump(&self.metrics.retries);
+                    self.metrics.retries.inc();
                     if !has_owner {
                         // Nothing to promote; wait for the breaker to
                         // half-open and probe the old owner again.
@@ -666,7 +639,7 @@ impl Router {
     /// its deadline, and a request with no budget left is answered
     /// `unavailable` without reaching a backend.
     fn handle_line_since(&self, line: &str, arrived: Instant) -> RouterOutcome {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         let routed = match json::parse_routed(line) {
             Ok(routed) => routed,
             Err(e) => {
@@ -1105,7 +1078,7 @@ impl Router {
                 if mode == ReplyMode::JsonFrame {
                     // The frame counts as a request, and so does the
                     // line inside it.
-                    RouterMetrics::bump(&self.metrics.requests);
+                    self.metrics.requests.inc();
                 }
                 let outcome = self.handle_line_since(&line, arrived);
                 (mode.package(&outcome.response), outcome.shutdown)
@@ -1129,7 +1102,7 @@ impl Router {
     /// `shard`/`router_epoch` — that metadata is a v1 JSON affordance;
     /// v2 clients wanting membership ask `node_info`.
     fn answer_frame(&self, frame_op: u8, out: &mut Vec<u8>) {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         let (code, message) = match frame_op {
             op::PING => {
                 binary::encode_pong(out, None);
@@ -1156,7 +1129,7 @@ impl Router {
     /// by, and the bytes travel to the backend as they are. As for
     /// lines, the wait since `arrived` is charged to the deadline.
     fn forward_plan_frame(&self, forward: &[u8], arrived: Instant, out: &mut Vec<u8>) {
-        RouterMetrics::bump(&self.metrics.requests);
+        self.metrics.requests.inc();
         let view = match PlanFrameView::parse(&forward[frame::HEADER_LEN..]) {
             Ok(view) => view,
             Err(message) => {
@@ -1419,10 +1392,10 @@ mod tests {
             .unwrap_err();
         assert!(err.contains("breaker open"), "{err}");
         assert_eq!(
-            router.metrics.byzantine_replies.load(Ordering::Relaxed),
+            router.metrics.byzantine_replies.get(),
             u64::from(router.config.breaker_threshold),
         );
-        assert_eq!(router.metrics.breaker_rejections.load(Ordering::Relaxed), 1);
+        assert_eq!(router.metrics.breaker_rejections.get(), 1);
     }
 
     #[test]
@@ -1432,7 +1405,7 @@ mod tests {
             .call_backend_within(0, "{\"cmd\":\"ping\"}", Duration::from_millis(500))
             .unwrap();
         assert_eq!(value.get("ok").and_then(Value::as_bool), Some(true));
-        assert_eq!(router.metrics.byzantine_replies.load(Ordering::Relaxed), 0);
+        assert_eq!(router.metrics.byzantine_replies.get(), 0);
     }
 
     #[test]

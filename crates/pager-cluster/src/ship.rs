@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use jsonio::Value;
 use pager_wire::{json, Request};
 
-use crate::router::{Router, RouterMetrics};
+use crate::router::Router;
 
 /// A replica's position in its owner's WAL.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -116,7 +116,7 @@ impl Router {
                  (applied on backend {applied_on}, owner is now {owner_after})"
             ));
         }
-        RouterMetrics::add(&self.metrics.shipped_records, shipped);
+        self.metrics.shipped_records.add(shipped);
         Ok(shipped)
     }
 

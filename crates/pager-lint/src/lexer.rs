@@ -9,8 +9,8 @@
 //! can find `lint:allow` markers.
 //!
 //! Everything else is tokenised coarsely: identifiers (including raw
-//! `r#idents`), lifetimes, integer and float literals (distinguished —
-//! [`crate::rules::float_eq`] depends on it), and punctuation with
+//! `r#idents`), lifetimes, numeric literals (one `Number` token each,
+//! integer or float, suffix included), and punctuation with
 //! maximal munch for the compound operators rules care about (`==`,
 //! `!=`, `::`, `->`, `=>`, `..`, `&&`, `||`, shifts, compound
 //! assignment).

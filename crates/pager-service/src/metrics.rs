@@ -1,12 +1,111 @@
-//! Lock-free service metrics.
+//! Lock-free service metrics, each declared once.
 //!
 //! Counters and latency histograms are plain atomics so the hot path
-//! never takes a lock to record. Snapshots are assembled on demand
-//! and dumped as JSON through [`jsonio`].
+//! never takes a lock to record. [`declare_metrics!`](crate::declare_metrics)
+//! declares a metrics struct and renders it as JSON through [`jsonio`]
+//! when a snapshot is asked for.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use jsonio::Value;
+/// The JSON value metrics render to.
+pub use jsonio::Value;
+
+use crate::deadline::Deadline;
+use crate::error::ServiceError;
+use crate::planner::{Plan, Tier};
+
+/// Anything a metrics dump can render.
+pub trait Metric {
+    /// Snapshot as JSON.
+    fn to_json(&self) -> Value;
+}
+
+/// Declares a metrics struct once: every field is a [`Metric`], and
+/// the generated [`Metric::to_json`] renders the fields under their
+/// own names, in declaration order. Attributes, doc comments and
+/// visibilities pass through; the struct derives `Debug` and
+/// `Default`.
+///
+/// ```
+/// use pager_service::metrics::{Counter, Metric};
+///
+/// pager_service::declare_metrics! {
+///     /// Counters of a line reader.
+///     pub struct Reader {
+///         /// Lines read.
+///         pub lines: Counter,
+///     }
+/// }
+///
+/// let reader = Reader::default();
+/// reader.lines.inc();
+/// assert_eq!(reader.to_json().to_string(), r#"{"lines":1}"#);
+/// ```
+#[macro_export]
+macro_rules! declare_metrics {
+    (
+        $(#[$attr:meta])*
+        $vis:vis struct $name:ident {
+            $($(#[$field_attr:meta])* $field_vis:vis $field:ident: $ty:ty,)*
+        }
+    ) => {
+        $(#[$attr])*
+        #[derive(Debug, Default)]
+        $vis struct $name {
+            $($(#[$field_attr])* $field_vis $field: $ty,)*
+        }
+
+        impl $crate::metrics::Metric for $name {
+            fn to_json(&self) -> $crate::metrics::Value {
+                $crate::metrics::Value::object(vec![$((
+                    stringify!($field),
+                    $crate::metrics::Metric::to_json(&self.$field),
+                ),)*])
+            }
+        }
+    };
+}
+
+/// A monotone counter, or an advisory gauge when [`Counter::dec`] is
+/// used.
+///
+/// Every access is `Relaxed`: a counter is read only to report it and
+/// never publishes other memory, so it needs atomicity but no
+/// ordering. This type holds every such access in the serving stack.
+#[derive(Debug, Default)]
+pub struct Counter(AtomicU64);
+
+impl Counter {
+    /// Adds one.
+    pub fn inc(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Adds `n`.
+    pub fn add(&self, n: u64) {
+        self.0.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Subtracts one, saturating at zero. The gauge is advisory, so a
+    /// lost race simply under-reports momentarily.
+    pub fn dec(&self) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| v.checked_sub(1));
+    }
+
+    /// The current value.
+    #[must_use]
+    pub fn get(&self) -> u64 {
+        self.0.load(Ordering::Relaxed)
+    }
+}
+
+impl Metric for Counter {
+    fn to_json(&self) -> Value {
+        Value::from(self.get())
+    }
+}
 
 /// Histogram bucket count: bucket `i` holds samples in
 /// `[2^(i-1), 2^i)` microseconds (bucket 0 is `< 1µs`).
@@ -55,131 +154,129 @@ impl LatencyHistogram {
         }
         self.max_micros.load(Ordering::Relaxed)
     }
+}
 
-    /// Snapshot as a JSON object.
-    pub fn to_json(&self) -> Value {
+impl Metric for LatencyHistogram {
+    fn to_json(&self) -> Value {
         let count = self.count();
         let total = self.total_micros.load(Ordering::Relaxed);
+        let max = self.max_micros.load(Ordering::Relaxed);
+        // With no samples the total is 0 too, so the mean reads 0.
         #[allow(clippy::cast_precision_loss)]
-        let mean = if count == 0 {
-            0.0
-        } else {
-            total as f64 / count as f64
-        };
+        let mean = total as f64 / count.max(1) as f64;
+        let quantile = |q| Value::from(self.quantile_upper_micros(q));
         Value::object(vec![
             ("count", Value::from(count)),
             ("total_micros", Value::from(total)),
             ("mean_micros", Value::Float(mean)),
-            (
-                "p50_le_micros",
-                Value::from(self.quantile_upper_micros(0.50)),
-            ),
-            (
-                "p90_le_micros",
-                Value::from(self.quantile_upper_micros(0.90)),
-            ),
-            (
-                "p99_le_micros",
-                Value::from(self.quantile_upper_micros(0.99)),
-            ),
-            (
-                "max_micros",
-                Value::from(self.max_micros.load(Ordering::Relaxed)),
-            ),
+            ("p50_le_micros", quantile(0.50)),
+            ("p90_le_micros", quantile(0.90)),
+            ("p99_le_micros", quantile(0.99)),
+            ("max_micros", Value::from(max)),
         ])
     }
 }
 
-/// All counters the service exposes.
-#[derive(Debug, Default)]
-pub struct Metrics {
-    /// Total plan requests received (cacheable or not).
-    pub requests: AtomicU64,
-    /// Requests answered straight from the strategy cache.
-    pub cache_hits: AtomicU64,
-    /// Requests that had to plan (or join an in-flight plan).
-    pub cache_misses: AtomicU64,
-    /// Requests that joined an identical in-flight computation
-    /// instead of planning again.
-    pub coalesced: AtomicU64,
-    /// Requests rejected with an error (bad instance, infeasible
-    /// bandwidth, ...).
-    pub errors: AtomicU64,
-    /// Requests shed at admission because the bounded queue was full
-    /// (answered `"code": "overloaded"` instead of waiting).
-    pub requests_shed: AtomicU64,
-    /// Exact-tier plans abandoned at a deadline checkpoint and
-    /// re-planned greedily (`"downgraded": true` on the wire).
-    pub deadline_downgrades: AtomicU64,
-    /// Requests whose deadline had already passed by the time their
-    /// response was ready (downgrades included).
-    pub deadline_misses: AtomicU64,
-    /// Jobs currently sitting in the bounded admission queue (gauge:
-    /// incremented on enqueue, decremented on dequeue).
-    pub queue_depth: AtomicU64,
-    /// Sightings ingested into the profile store (mirrors the store's
-    /// own counter; synced on every `observe`).
-    pub sightings_ingested: AtomicU64,
-    /// Device profiles evicted from the store's capacity bound
-    /// (mirrors the store's own counter; synced on every `observe`).
-    pub profile_evictions: AtomicU64,
-    /// Profiles that served a `plan_devices` request while stale
-    /// (staleness weight below ½ — mostly decayed toward uniform).
-    pub stale_profiles_served: AtomicU64,
-    /// WAL records appended (mirrors the durable store; 0 when the
-    /// server runs without `--data-dir`).
-    pub wal_appends: AtomicU64,
-    /// Fsyncs issued for the WAL.
-    pub wal_fsyncs: AtomicU64,
-    /// WAL records replayed at startup recovery.
-    pub wal_recovered_records: AtomicU64,
-    /// Bytes truncated from a torn WAL tail at startup recovery.
-    pub wal_truncated_bytes: AtomicU64,
-    /// Snapshot checkpoints rotated.
-    pub checkpoints: AtomicU64,
-    /// Degraded-mode gauge: 1 after a data-disk failure (observes are
-    /// refused, planning keeps serving), 0 otherwise.
-    pub degraded: AtomicU64,
-    /// Open TCP connections on the connection engine (gauge).
-    pub reactor_connections: AtomicU64,
-    /// Reactor timer-wheel watchdog firings: a request whose deadline
-    /// elapsed while it was still awaiting its solver. Telemetry only
-    /// — enforcement (downgrades, `deadline_misses`) stays with the
-    /// solver's own deadline checks, so this never double-counts.
-    pub reactor_deadline_watchdog: AtomicU64,
-    /// Queue wait per admitted planning job (enqueue → dequeue). This
-    /// is the signal behind shed responses' `retry_after_ms`: the
-    /// median wait is roughly how long the backlog ahead of a retry
-    /// takes to drain.
-    pub queue_wait: LatencyHistogram,
+declare_metrics! {
     /// Planning latency per solver tier.
-    pub exact_latency: LatencyHistogram,
-    /// Fig. 1 greedy tier latency.
-    pub greedy_latency: LatencyHistogram,
-    /// Bandwidth-bounded tier latency.
-    pub bandwidth_latency: LatencyHistogram,
-    /// Signature tier latency.
-    pub signature_latency: LatencyHistogram,
+    pub struct TierLatency {
+        /// Exact subset-DP tier.
+        pub exact: LatencyHistogram,
+        /// Fig. 1 greedy tier.
+        pub greedy: LatencyHistogram,
+        /// Bandwidth-bounded tier.
+        pub bandwidth: LatencyHistogram,
+        /// Signature tier.
+        pub signature: LatencyHistogram,
+    }
+}
+
+impl TierLatency {
+    /// The histogram of one tier.
+    #[must_use]
+    pub fn of(&self, tier: Tier) -> &LatencyHistogram {
+        match tier {
+            Tier::Exact => &self.exact,
+            Tier::Greedy => &self.greedy,
+            Tier::Bandwidth => &self.bandwidth,
+            Tier::Signature => &self.signature,
+        }
+    }
+}
+
+declare_metrics! {
+    /// The counters the service keeps itself. The `metrics` payload
+    /// adds those it reads from the strategy cache, the profile store
+    /// and the durable store
+    /// ([`PagerService::metrics_json`](crate::PagerService::metrics_json)).
+    pub struct Metrics {
+        /// Total plan requests received (cacheable or not).
+        pub requests: Counter,
+        /// Requests answered straight from the strategy cache.
+        pub cache_hits: Counter,
+        /// Requests that had to plan (or join an in-flight plan).
+        pub cache_misses: Counter,
+        /// Requests that joined an identical in-flight computation
+        /// instead of planning again.
+        pub coalesced: Counter,
+        /// Requests rejected with an error (bad instance, infeasible
+        /// bandwidth, a solve its deadline cancelled, ...).
+        pub errors: Counter,
+        /// Requests shed at admission because the bounded queue was full
+        /// (answered `"code": "overloaded"` instead of waiting).
+        pub requests_shed: Counter,
+        /// Exact-tier plans abandoned at a deadline checkpoint and
+        /// re-planned greedily (`"downgraded": true` on the wire).
+        pub deadline_downgrades: Counter,
+        /// Solves that finished after their deadline or that it
+        /// cancelled (downgrades included).
+        pub deadline_misses: Counter,
+        /// Jobs currently sitting in the bounded admission queue (gauge:
+        /// incremented on enqueue, decremented on dequeue).
+        pub queue_depth: Counter,
+        /// Profiles that served a `plan_devices` request while stale
+        /// (staleness weight below ½ — mostly decayed toward uniform).
+        pub stale_profiles_served: Counter,
+        /// Open TCP connections on the connection engine (gauge).
+        pub reactor_connections: Counter,
+        /// Reactor timer-wheel watchdog firings: a request whose deadline
+        /// elapsed while it was still awaiting its solver. Telemetry only
+        /// — enforcement (downgrades, `deadline_misses`) stays with the
+        /// solver's own deadline checks, so this never double-counts.
+        pub reactor_deadline_watchdog: Counter,
+        /// Queue wait per admitted planning job (enqueue → dequeue). This
+        /// is the signal behind shed responses' `retry_after_ms`: the
+        /// median wait is roughly how long the backlog ahead of a retry
+        /// takes to drain.
+        pub queue_wait: LatencyHistogram,
+        /// Planning latency per solver tier.
+        pub tier_latency: TierLatency,
+    }
 }
 
 impl Metrics {
-    /// Bumps a counter.
-    pub fn inc(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Decrements a gauge, saturating at zero.
-    pub fn dec(gauge: &AtomicU64) {
-        // A saturating decrement: the gauge is advisory, so a lost
-        // race simply under-reports momentarily.
-        let _ = gauge.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
-            Some(v.saturating_sub(1))
-        });
-    }
-
-    /// Reads a counter.
-    pub fn get(counter: &AtomicU64) -> u64 {
-        counter.load(Ordering::Relaxed)
+    /// Records how one solve ended, for the pool worker and the inline
+    /// path alike: a plan records its tier latency, a downgrade, and a
+    /// deadline miss if it came too late; a failure records an error,
+    /// and a deadline miss when the deadline cancelled the solve.
+    pub fn record_solve(&self, outcome: &Result<Plan, ServiceError>, deadline: &Deadline) {
+        match outcome {
+            Ok(plan) => {
+                self.tier_latency.of(plan.tier).record(plan.planning_micros);
+                if plan.downgraded {
+                    self.deadline_downgrades.inc();
+                }
+                if deadline.expired() {
+                    self.deadline_misses.inc();
+                }
+            }
+            Err(error) => {
+                self.errors.inc();
+                if matches!(error, ServiceError::Overloaded { .. }) {
+                    self.deadline_misses.inc();
+                }
+            }
+        }
     }
 
     /// Suggested client backoff (ms) for shed requests, derived from
@@ -197,82 +294,6 @@ impl Metrics {
             .quantile_upper_micros(0.50)
             .div_ceil(1000)
             .clamp(10, 2000)
-    }
-
-    /// The latency histogram for one solver tier.
-    pub fn tier_latency(&self, tier: crate::planner::Tier) -> &LatencyHistogram {
-        match tier {
-            crate::planner::Tier::Exact => &self.exact_latency,
-            crate::planner::Tier::Greedy => &self.greedy_latency,
-            crate::planner::Tier::Bandwidth => &self.bandwidth_latency,
-            crate::planner::Tier::Signature => &self.signature_latency,
-        }
-    }
-
-    /// Full snapshot as a JSON object (the `--metrics-json` /
-    /// `{"cmd":"metrics"}` payload). `cache_evictions` is the strategy
-    /// cache's own counter, rendered as `evictions`.
-    pub fn to_json(&self, cache_evictions: u64) -> Value {
-        Value::object(vec![
-            ("requests", Value::from(Self::get(&self.requests))),
-            ("cache_hits", Value::from(Self::get(&self.cache_hits))),
-            ("cache_misses", Value::from(Self::get(&self.cache_misses))),
-            ("coalesced", Value::from(Self::get(&self.coalesced))),
-            ("errors", Value::from(Self::get(&self.errors))),
-            ("requests_shed", Value::from(Self::get(&self.requests_shed))),
-            (
-                "deadline_downgrades",
-                Value::from(Self::get(&self.deadline_downgrades)),
-            ),
-            (
-                "deadline_misses",
-                Value::from(Self::get(&self.deadline_misses)),
-            ),
-            ("queue_depth", Value::from(Self::get(&self.queue_depth))),
-            ("evictions", Value::from(cache_evictions)),
-            (
-                "sightings_ingested",
-                Value::from(Self::get(&self.sightings_ingested)),
-            ),
-            (
-                "profile_evictions",
-                Value::from(Self::get(&self.profile_evictions)),
-            ),
-            (
-                "stale_profiles_served",
-                Value::from(Self::get(&self.stale_profiles_served)),
-            ),
-            ("wal_appends", Value::from(Self::get(&self.wal_appends))),
-            ("wal_fsyncs", Value::from(Self::get(&self.wal_fsyncs))),
-            (
-                "wal_recovered_records",
-                Value::from(Self::get(&self.wal_recovered_records)),
-            ),
-            (
-                "wal_truncated_bytes",
-                Value::from(Self::get(&self.wal_truncated_bytes)),
-            ),
-            ("checkpoints", Value::from(Self::get(&self.checkpoints))),
-            ("degraded", Value::from(Self::get(&self.degraded))),
-            (
-                "reactor_connections",
-                Value::from(Self::get(&self.reactor_connections)),
-            ),
-            (
-                "reactor_deadline_watchdog",
-                Value::from(Self::get(&self.reactor_deadline_watchdog)),
-            ),
-            ("queue_wait", self.queue_wait.to_json()),
-            (
-                "tier_latency",
-                Value::object(vec![
-                    ("exact", self.exact_latency.to_json()),
-                    ("greedy", self.greedy_latency.to_json()),
-                    ("bandwidth", self.bandwidth_latency.to_json()),
-                    ("signature", self.signature_latency.to_json()),
-                ]),
-            ),
-        ])
     }
 }
 
@@ -380,12 +401,12 @@ mod tests {
 
     #[test]
     fn gauge_dec_saturates_at_zero() {
-        let m = Metrics::default();
-        Metrics::dec(&m.queue_depth);
-        assert_eq!(Metrics::get(&m.queue_depth), 0);
-        Metrics::inc(&m.queue_depth);
-        Metrics::inc(&m.queue_depth);
-        Metrics::dec(&m.queue_depth);
-        assert_eq!(Metrics::get(&m.queue_depth), 1);
+        let gauge = Counter::default();
+        gauge.dec();
+        assert_eq!(gauge.get(), 0);
+        gauge.inc();
+        gauge.add(2);
+        gauge.dec();
+        assert_eq!(gauge.get(), 2);
     }
 }

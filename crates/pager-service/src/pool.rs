@@ -222,7 +222,7 @@ impl Dispatcher {
         // channel a worker may dequeue it and run the matching `dec`,
         // so incrementing after `try_send` could order inc after dec
         // and leak a permanent +1 (dec saturates at zero).
-        Metrics::inc(&self.metrics.queue_depth);
+        self.metrics.queue_depth.inc();
         // First request for this key: offer it to the bounded queue.
         // The queue lock is released before touching the in-flight
         // table again (lock order: queue before inflight, never
@@ -255,19 +255,19 @@ impl Dispatcher {
                 // Shed: un-register and fail everyone who coalesced
                 // onto this key between our insert and now, so nobody
                 // waits on a computation that will never run.
-                Metrics::dec(&self.metrics.queue_depth);
+                self.metrics.queue_depth.dec();
                 // The hint tracks the observed queue wait: a shed
                 // client retrying sooner than the median wait would
                 // only rejoin the very backlog that shed it.
                 let error = ServiceError::Overloaded {
                     retry_after_ms: self.metrics.retry_hint_ms(),
                 };
-                Metrics::inc(&self.metrics.requests_shed);
+                self.metrics.requests_shed.inc();
                 self.fail_waiters(&key, &error);
                 Err(error)
             }
             Enqueue::Closed => {
-                Metrics::dec(&self.metrics.queue_depth);
+                self.metrics.queue_depth.dec();
                 let error = ServiceError::Internal("service is shutting down".into());
                 self.fail_waiters(&key, &error);
                 Err(error)
@@ -284,7 +284,7 @@ impl Dispatcher {
     ///
     /// Returns whether the job was accepted.
     pub(crate) fn submit_maintenance(&self, work: Box<dyn FnOnce() + Send>) -> bool {
-        Metrics::inc(&self.metrics.queue_depth);
+        self.metrics.queue_depth.inc();
         let accepted = {
             let queue = self
                 .queue
@@ -296,7 +296,7 @@ impl Dispatcher {
             }
         };
         if !accepted {
-            Metrics::dec(&self.metrics.queue_depth);
+            self.metrics.queue_depth.dec();
         }
         accepted
     }
@@ -357,7 +357,7 @@ fn worker_loop(
             Ok(job) => job,
             Err(_) => return, // queue closed: shut down
         };
-        Metrics::dec(&metrics.queue_depth);
+        metrics.queue_depth.dec();
         let job = match job {
             Job::Plan(job) => job,
             Job::Maintenance(work) => {
@@ -374,35 +374,19 @@ fn worker_loop(
             Some(ready) => Ok(ready),
             None => {
                 let token = job.deadline.token();
-                match plan(&job.instance, job.delay, job.variant, &policy, &token) {
-                    Ok(fresh) => {
-                        metrics
-                            .tier_latency(fresh.tier)
-                            .record(fresh.planning_micros);
-                        if fresh.downgraded {
-                            Metrics::inc(&metrics.deadline_downgrades);
-                        }
-                        if job.deadline.expired() {
-                            Metrics::inc(&metrics.deadline_misses);
-                        }
-                        if fresh.downgraded {
-                            // A downgraded plan is a deadline artefact,
-                            // not the best answer for this key: caching
-                            // it would poison the slot for every later
-                            // patient request.
-                            Ok(Arc::new(fresh))
-                        } else {
-                            Ok(cache.insert(job.fingerprint, job.key.clone(), Arc::new(fresh)))
-                        }
+                let outcome = plan(&job.instance, job.delay, job.variant, &policy, &token);
+                metrics.record_solve(&outcome, &job.deadline);
+                outcome.map(|fresh| {
+                    if fresh.downgraded {
+                        // A downgraded plan is a deadline artefact, not
+                        // the best answer for this key: caching it
+                        // would poison the slot for every later
+                        // patient request.
+                        Arc::new(fresh)
+                    } else {
+                        cache.insert(job.fingerprint, job.key.clone(), Arc::new(fresh))
                     }
-                    Err(error) => {
-                        Metrics::inc(&metrics.errors);
-                        if matches!(error, ServiceError::Overloaded { .. }) {
-                            Metrics::inc(&metrics.deadline_misses);
-                        }
-                        Err(error)
-                    }
-                }
+                })
             }
         };
         let waiters = inflight

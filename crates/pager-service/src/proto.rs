@@ -954,8 +954,8 @@ mod tests {
         let v2 = binary::response_to_value(op_out2, &body2).unwrap();
         assert_eq!(v2.get("cached").and_then(Value::as_bool), Some(true));
         assert_eq!(v2.get("strategy"), v.get("strategy"));
-        assert_eq!(crate::Metrics::get(&svc.metrics().requests), 2);
-        assert_eq!(crate::Metrics::get(&svc.metrics().cache_hits), 1);
+        assert_eq!(svc.metrics().requests.get(), 2);
+        assert_eq!(svc.metrics().cache_hits.get(), 1);
     }
 
     #[test]

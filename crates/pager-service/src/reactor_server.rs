@@ -1099,7 +1099,6 @@ pub fn serve_reactor_with<H: Handler, A: ToSocketAddrs>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::Metrics;
     use crate::proto::Request;
     use crate::service::{PagerService, ServiceConfig};
     use jsonio::Value;
@@ -1246,7 +1245,7 @@ mod tests {
     #[test]
     fn connection_gauge_tracks_opens_and_closes() {
         let svc = service();
-        let metrics_connections = || Metrics::get(&svc.metrics().reactor_connections);
+        let metrics_connections = || svc.metrics().reactor_connections.get();
         let handle = start(Arc::clone(&svc));
         assert_eq!(metrics_connections(), 0);
         let mut stream = TcpStream::connect(handle.local_addr()).unwrap();
@@ -1437,7 +1436,7 @@ mod tests {
         }
         // The aborted connection is torn down (nothing leaks)...
         let deadline = Instant::now() + Duration::from_secs(2);
-        while Metrics::get(&svc.metrics().reactor_connections) != 0 {
+        while svc.metrics().reactor_connections.get() != 0 {
             assert!(
                 Instant::now() < deadline,
                 "mid-frame disconnect leaked a connection"

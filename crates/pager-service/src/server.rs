@@ -146,7 +146,6 @@ mod tcp {
     use pager_core::Instance;
     use pager_wire::{binary, ErrorCode, IdView, PlanSpec};
 
-    use crate::metrics::Metrics;
     use crate::proto::{self, FrameDispatch, Request};
     use crate::reactor_server::{Dispatch, Handler, Message, Replies, ReplyMode};
     use crate::service::PagerService;
@@ -186,15 +185,15 @@ mod tcp {
         }
 
         fn connection_opened(&self) {
-            Metrics::inc(&self.metrics().reactor_connections);
+            self.metrics().reactor_connections.inc();
         }
 
         fn connection_closed(&self) {
-            Metrics::dec(&self.metrics().reactor_connections);
+            self.metrics().reactor_connections.dec();
         }
 
         fn watchdog_fired(&self) {
-            Metrics::inc(&self.metrics().reactor_deadline_watchdog);
+            self.metrics().reactor_deadline_watchdog.inc();
         }
     }
 

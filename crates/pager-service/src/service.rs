@@ -14,7 +14,7 @@ use pager_profiles::{
 use crate::cache::ShardedCache;
 use crate::deadline::Deadline;
 use crate::error::ServiceError;
-use crate::metrics::Metrics;
+use crate::metrics::{Metric, Metrics};
 use crate::planner::{plan, Plan, TierPolicy, Variant};
 use crate::pool::{Dispatcher, Waiter};
 
@@ -287,9 +287,6 @@ impl PagerService {
         };
         let cache = Arc::new(ShardedCache::new(config.capacity, config.shards));
         let metrics = Arc::new(Metrics::default());
-        if let Some(report) = &recovery {
-            self_mirror_recovery(&metrics, report);
-        }
         let dispatcher = Dispatcher::new(
             config.workers,
             config.queue_depth,
@@ -317,18 +314,39 @@ impl PagerService {
         &self.config
     }
 
-    /// Live metrics (shared; read with `Metrics::get` or dump with
-    /// [`PagerService::metrics_json`]).
+    /// The counters the service keeps itself (read a field with
+    /// [`Counter::get`](crate::metrics::Counter::get), or dump everything
+    /// with [`PagerService::metrics_json`]).
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
     /// The metrics snapshot the `metrics` op and `--metrics-json`
-    /// render, with the strategy cache's eviction count.
+    /// render: the service's own [`Metrics`], plus counters read where
+    /// they live — strategy-cache evictions, profile-store ingest and
+    /// evictions, and the durable store's WAL counters (0 without it).
     #[must_use]
     pub fn metrics_json(&self) -> jsonio::Value {
-        self.metrics.to_json(self.cache.evictions())
+        let profiles = self.profiles.stats();
+        let durable = self.durable.as_ref().map(|d| d.stats()).unwrap_or_default();
+        let mut json = self.metrics.to_json();
+        if let jsonio::Value::Object(fields) = &mut json {
+            for (key, value) in [
+                ("evictions", self.cache.evictions()),
+                ("sightings_ingested", profiles.sightings),
+                ("profile_evictions", profiles.evictions),
+                ("wal_appends", durable.wal_appends),
+                ("wal_fsyncs", durable.wal_fsyncs),
+                ("wal_recovered_records", durable.wal_recovered_records),
+                ("wal_truncated_bytes", durable.wal_truncated_bytes),
+                ("checkpoints", durable.checkpoints),
+                ("degraded", u64::from(durable.degraded)),
+            ] {
+                fields.push((key.to_string(), value.into()));
+            }
+        }
+        json
     }
 
     /// The device-profile store behind `observe` / `plan_devices`.
@@ -499,25 +517,16 @@ impl PagerService {
         deadline: Deadline,
     ) -> Result<PlanResponse, ServiceError> {
         let token = deadline.token();
-        let fresh = plan(
+        let outcome = plan(
             instance,
             spec.delay(),
             spec.variant(),
             &self.config.policy,
             &token,
-        )
-        .inspect_err(|_| Metrics::inc(&self.metrics.errors))?;
-        if fresh.downgraded {
-            Metrics::inc(&self.metrics.deadline_downgrades);
-        }
-        if deadline.expired() {
-            Metrics::inc(&self.metrics.deadline_misses);
-        }
-        self.metrics
-            .tier_latency(fresh.tier)
-            .record(fresh.planning_micros);
+        );
+        self.metrics.record_solve(&outcome, &deadline);
         Ok(PlanResponse {
-            plan: Arc::new(fresh),
+            plan: Arc::new(outcome?),
             cached: false,
             coalesced: false,
         })
@@ -535,14 +544,14 @@ impl PagerService {
         deadline: Deadline,
     ) -> Result<PlanResponse, ServiceError> {
         if let Some(hit) = self.cache.get(fingerprint, &key) {
-            Metrics::inc(&self.metrics.cache_hits);
+            self.metrics.cache_hits.inc();
             return Ok(PlanResponse {
                 plan: hit,
                 cached: true,
                 coalesced: false,
             });
         }
-        Metrics::inc(&self.metrics.cache_misses);
+        self.metrics.cache_misses.inc();
         let (rx, coalesced) = self.dispatcher.submit(
             key,
             fingerprint,
@@ -552,7 +561,7 @@ impl PagerService {
             deadline,
         )?;
         if coalesced {
-            Metrics::inc(&self.metrics.coalesced);
+            self.metrics.coalesced.inc();
         }
         let result = rx
             .recv()
@@ -575,7 +584,7 @@ impl PagerService {
     /// the deadline expired on a non-degradable tier;
     /// [`ServiceError::Internal`] when called during shutdown.
     pub fn plan(&self, instance: &Instance, spec: PlanSpec) -> Result<PlanResponse, ServiceError> {
-        Metrics::inc(&self.metrics.requests);
+        self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         if !spec.cache_enabled() {
             return self.plan_inline(instance, &spec, deadline);
@@ -616,8 +625,8 @@ impl PagerService {
                 && key.profile_versions.is_empty()
                 && view.buckets_match(&key.buckets, grid)
         })?;
-        Metrics::inc(&self.metrics.requests);
-        Metrics::inc(&self.metrics.cache_hits);
+        self.metrics.requests.inc();
+        self.metrics.cache_hits.inc();
         Some(PlanResponse {
             plan: hit,
             cached: true,
@@ -636,7 +645,7 @@ impl PagerService {
         spec: PlanSpec,
         complete: Box<dyn FnOnce(Result<PlanResponse, ServiceError>) + Send>,
     ) {
-        Metrics::inc(&self.metrics.requests);
+        self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         if !spec.cache_enabled() {
             complete(self.plan_inline(instance, &spec, deadline));
@@ -661,7 +670,7 @@ impl PagerService {
         complete: Box<dyn FnOnce(Result<PlanResponse, ServiceError>) + Send>,
     ) {
         if let Some(hit) = self.cache.get(fingerprint, &key) {
-            Metrics::inc(&self.metrics.cache_hits);
+            self.metrics.cache_hits.inc();
             complete(Ok(PlanResponse {
                 plan: hit,
                 cached: true,
@@ -669,7 +678,7 @@ impl PagerService {
             }));
             return;
         }
-        Metrics::inc(&self.metrics.cache_misses);
+        self.metrics.cache_misses.inc();
         let waiter = Waiter::Callback {
             complete: Box::new(move |result, coalesced| {
                 complete(result.map(|plan| PlanResponse {
@@ -689,7 +698,7 @@ impl PagerService {
             deadline,
             waiter,
         ) {
-            Ok(true) => Metrics::inc(&self.metrics.coalesced),
+            Ok(true) => self.metrics.coalesced.inc(),
             Ok(false) => {}
             // The dispatcher already delivered the error to the
             // waiter (shed accounting included) — nothing more here.
@@ -698,8 +707,7 @@ impl PagerService {
     }
 
     /// Ingests a batch of sightings into the profile store, returning
-    /// `(device, new version)` per sighting. Metrics mirror the
-    /// store's ingest/eviction counters after the batch.
+    /// `(device, new version)` per sighting.
     ///
     /// # Errors
     ///
@@ -710,34 +718,22 @@ impl PagerService {
         cells: usize,
         sightings: &[Sighting],
     ) -> Result<Vec<(String, u64)>, ServiceError> {
-        let result = match &self.durable {
-            None => self
+        let Some(durable) = &self.durable else {
+            return self
                 .profiles
                 .observe_batch(cells, sightings)
-                .map_err(ServiceError::BadRequest),
-            // Durable path: the batch is applied, WAL-appended, and
-            // (per policy) fsynced before this returns — an Ok here is
-            // the acked-write guarantee.
-            Some(durable) => durable
-                .observe_batch(cells, sightings)
-                .map_err(|e| match e {
-                    DurableError::Rejected(m) => ServiceError::BadRequest(m),
-                    DurableError::Degraded(m) => ServiceError::Degraded(m),
-                }),
+                .map_err(ServiceError::BadRequest);
         };
-        let stats = self.profiles.stats();
-        self.metrics
-            .sightings_ingested
-            // lint:allow(atomics-ordering-audit): metrics mirror of store stats, no handoff
-            .store(stats.sightings, Ordering::Relaxed);
-        self.metrics
-            .profile_evictions
-            // lint:allow(atomics-ordering-audit): metrics mirror of store stats, no handoff
-            .store(stats.evictions, Ordering::Relaxed);
-        if let Some(durable) = &self.durable {
-            mirror_durability(&self.metrics, durable);
-            self.maybe_schedule_checkpoint(durable);
-        }
+        // Durable path: the batch is applied, WAL-appended, and (per
+        // policy) fsynced before this returns — an Ok here is the
+        // acked-write guarantee.
+        let result = durable
+            .observe_batch(cells, sightings)
+            .map_err(|e| match e {
+                DurableError::Rejected(m) => ServiceError::BadRequest(m),
+                DurableError::Degraded(m) => ServiceError::Degraded(m),
+            });
+        self.maybe_schedule_checkpoint(durable);
         result
     }
 
@@ -751,12 +747,10 @@ impl PagerService {
             return;
         }
         let durable_job = Arc::clone(durable);
-        let metrics = Arc::clone(&self.metrics);
         let accepted = self.dispatcher.submit_maintenance(Box::new(move || {
-            // A failed checkpoint flips the store to degraded; the
-            // mirror below surfaces it on the gauge either way.
+            // A failed checkpoint flips the store to degraded, which
+            // the `degraded` gauge reads from the store.
             let _ = durable_job.checkpoint();
-            mirror_durability(&metrics, &durable_job);
         }));
         if !accepted {
             durable.cancel_checkpoint_schedule();
@@ -782,25 +776,24 @@ impl PagerService {
         now: Option<Time>,
         spec: PlanSpec,
     ) -> Result<DevicePlanResponse, ServiceError> {
-        Metrics::inc(&self.metrics.requests);
+        self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         let now = now.or_else(|| self.profiles.latest_time()).ok_or_else(|| {
-            Metrics::inc(&self.metrics.errors);
+            self.metrics.errors.inc();
             ServiceError::BadRequest("store has no sightings and no \"now\" was given".into())
         })?;
         let (instance, versions, staleness) = self
             .profiles
             .instance_for(devices, estimator, Some(now))
             .map_err(|e| {
-                Metrics::inc(&self.metrics.errors);
+                self.metrics.errors.inc();
                 ServiceError::BadRequest(e)
             })?;
         let stale_profiles = staleness.iter().filter(|&&lambda| lambda < 0.5).count();
         if stale_profiles > 0 {
             self.metrics
                 .stale_profiles_served
-                // lint:allow(atomics-ordering-audit): monotone metrics counter, no handoff
-                .fetch_add(stale_profiles as u64, Ordering::Relaxed);
+                .add(stale_profiles as u64);
         }
         let response = if spec.cache_enabled() {
             // Estimator tag 0 is reserved for matrix requests.
@@ -831,12 +824,12 @@ impl PagerService {
         spec: PlanSpec,
         complete: Box<dyn FnOnce(Result<DevicePlanResponse, ServiceError>) + Send>,
     ) {
-        Metrics::inc(&self.metrics.requests);
+        self.metrics.requests.inc();
         let deadline = self.admit(&spec);
         let now = match now.or_else(|| self.profiles.latest_time()) {
             Some(now) => now,
             None => {
-                Metrics::inc(&self.metrics.errors);
+                self.metrics.errors.inc();
                 complete(Err(ServiceError::BadRequest(
                     "store has no sightings and no \"now\" was given".into(),
                 )));
@@ -847,7 +840,7 @@ impl PagerService {
             match self.profiles.instance_for(devices, estimator, Some(now)) {
                 Ok(resolved) => resolved,
                 Err(e) => {
-                    Metrics::inc(&self.metrics.errors);
+                    self.metrics.errors.inc();
                     complete(Err(ServiceError::BadRequest(e)));
                     return;
                 }
@@ -856,8 +849,7 @@ impl PagerService {
         if stale_profiles > 0 {
             self.metrics
                 .stale_profiles_served
-                // lint:allow(atomics-ordering-audit): monotone metrics counter, no handoff
-                .fetch_add(stale_profiles as u64, Ordering::Relaxed);
+                .add(stale_profiles as u64);
         }
         let key_versions = versions.clone();
         let wrap = move |result: Result<PlanResponse, ServiceError>| {
@@ -892,43 +884,8 @@ impl PagerService {
         self.dispatcher.shutdown();
         if let Some(durable) = &self.durable {
             let _ = durable.flush();
-            mirror_durability(&self.metrics, durable);
         }
     }
-}
-
-/// Copies the durable store's counters onto the service metrics (the
-/// atomics are mirrors, not sources of truth).
-fn mirror_durability(metrics: &Metrics, durable: &DurableStore) {
-    let stats = durable.stats();
-    metrics
-        .wal_appends
-        // lint:allow(atomics-ordering-audit): metrics mirror of durable-store stats, no handoff
-        .store(stats.wal_appends, Ordering::Relaxed);
-    metrics
-        .wal_fsyncs
-        // lint:allow(atomics-ordering-audit): metrics mirror of durable-store stats, no handoff
-        .store(stats.wal_fsyncs, Ordering::Relaxed);
-    metrics
-        .checkpoints
-        // lint:allow(atomics-ordering-audit): metrics mirror of durable-store stats, no handoff
-        .store(stats.checkpoints, Ordering::Relaxed);
-    metrics
-        .degraded
-        // lint:allow(atomics-ordering-audit): advisory gauge, no handoff
-        .store(u64::from(stats.degraded), Ordering::Relaxed);
-}
-
-/// Seeds the recovery counters once at startup.
-fn self_mirror_recovery(metrics: &Metrics, report: &RecoveryReport) {
-    metrics
-        .wal_recovered_records
-        // lint:allow(atomics-ordering-audit): set once before the service is shared
-        .store(report.recovered_records, Ordering::Relaxed);
-    metrics
-        .wal_truncated_bytes
-        // lint:allow(atomics-ordering-audit): set once before the service is shared
-        .store(report.truncated_bytes, Ordering::Relaxed);
 }
 
 #[cfg(test)]
@@ -950,6 +907,12 @@ mod tests {
         Instance::from_rows(vec![vec![0.4, 0.3, 0.2, 0.1], vec![0.25, 0.25, 0.25, 0.25]]).unwrap()
     }
 
+    /// One top-level counter of the rendered metrics payload.
+    fn metric(svc: &PagerService, key: &str) -> u64 {
+        let json = svc.metrics_json();
+        json.get(key).and_then(jsonio::Value::as_u64).unwrap()
+    }
+
     #[test]
     fn second_identical_request_hits_cache() {
         let svc = service();
@@ -959,9 +922,9 @@ mod tests {
         let second = svc.plan(&inst(), spec).unwrap();
         assert!(second.cached);
         assert!(Arc::ptr_eq(&first.plan, &second.plan), "same shared plan");
-        assert_eq!(Metrics::get(&svc.metrics().cache_hits), 1);
-        assert_eq!(Metrics::get(&svc.metrics().cache_misses), 1);
-        assert_eq!(Metrics::get(&svc.metrics().requests), 2);
+        assert_eq!(svc.metrics().cache_hits.get(), 1);
+        assert_eq!(svc.metrics().cache_misses.get(), 1);
+        assert_eq!(svc.metrics().requests.get(), 2);
     }
 
     #[test]
@@ -1009,7 +972,7 @@ mod tests {
         svc.plan(&inst(), spec).unwrap();
         svc.plan(&inst(), spec).unwrap();
         assert_eq!(svc.cached_strategies(), 0);
-        assert_eq!(Metrics::get(&svc.metrics().cache_hits), 0);
+        assert_eq!(svc.metrics().cache_hits.get(), 0);
     }
 
     #[test]
@@ -1018,8 +981,27 @@ mod tests {
         let spec = PlanSpec::new(Delay::new(2).unwrap()).with_variant(Variant::Signature(99));
         assert!(svc.plan(&inst(), spec).is_err());
         assert!(svc.plan(&inst(), spec).is_err());
-        assert_eq!(Metrics::get(&svc.metrics().errors), 2);
+        assert_eq!(svc.metrics().errors.get(), 2);
         assert_eq!(svc.cached_strategies(), 0);
+    }
+
+    #[test]
+    fn cancelled_solves_count_deadline_misses_on_both_paths() {
+        // A greedy solve has no cheaper fallback, so a deadline that
+        // has already passed cancels it: the request fails and misses
+        // its deadline whether it went through the pool or ran inline.
+        let big = Instance::uniform(3, 2048).unwrap();
+        for cache in [true, false] {
+            let svc = service();
+            let spec = PlanSpec::new(Delay::new(3).unwrap())
+                .with_variant(Variant::Greedy)
+                .with_deadline_ms(0)
+                .with_cache(cache);
+            let error = svc.plan(&big, spec).unwrap_err();
+            assert_eq!(error.code(), "overloaded", "cache: {cache}");
+            assert_eq!(metric(&svc, "errors"), 1, "cache: {cache}");
+            assert_eq!(metric(&svc, "deadline_misses"), 1, "cache: {cache}");
+        }
     }
 
     #[test]
@@ -1042,13 +1024,10 @@ mod tests {
             assert_eq!(r.plan.expected_paging, baseline.expected_paging);
         }
         let m = svc.metrics();
-        assert_eq!(Metrics::get(&m.requests), 16);
+        assert_eq!(m.requests.get(), 16);
         // Every request either hit the cache or missed (and the
         // misses were deduped down to one stored strategy).
-        assert_eq!(
-            Metrics::get(&m.cache_hits) + Metrics::get(&m.cache_misses),
-            16
-        );
+        assert_eq!(m.cache_hits.get() + m.cache_misses.get(), 16);
         assert_eq!(svc.cached_strategies(), 1);
     }
 
@@ -1080,7 +1059,7 @@ mod tests {
             })
             .collect();
         svc.observe(4, &batch).unwrap();
-        assert_eq!(Metrics::get(&svc.metrics().sightings_ingested), 60);
+        assert_eq!(metric(&svc, "sightings_ingested"), 60);
         let spec = PlanSpec::new(Delay::new(2).unwrap());
         let served = svc
             .plan_devices(&["a", "b"], Estimator::Empirical, None, spec)
@@ -1102,7 +1081,7 @@ mod tests {
             Some("bad_request"),
             "unknown devices are the client's fault"
         );
-        assert!(Metrics::get(&svc.metrics().errors) >= 1);
+        assert!(svc.metrics().errors.get() >= 1);
     }
 
     #[test]
@@ -1163,8 +1142,8 @@ mod tests {
             .unwrap();
             svc.observe(4, &[sighting("a", 1, 1.0), sighting("b", 2, 2.0)])
                 .unwrap();
-            assert!(Metrics::get(&svc.metrics().wal_appends) >= 2);
-            assert!(Metrics::get(&svc.metrics().wal_fsyncs) >= 1);
+            assert!(metric(&svc, "wal_appends") >= 2);
+            assert!(metric(&svc, "wal_fsyncs") >= 1);
             svc.shutdown();
         }
         mem.crash(17);
@@ -1175,7 +1154,13 @@ mod tests {
         .unwrap();
         let report = svc.recovery().unwrap();
         assert_eq!(report.recovered_records, 2);
-        assert_eq!(Metrics::get(&svc.metrics().wal_recovered_records), 2);
+        assert_eq!(metric(&svc, "wal_recovered_records"), 2);
+        // The profile counters describe the recovered store before
+        // any new observe arrives.
+        let stats = svc.profiles().stats();
+        assert_eq!(stats.sightings, 2);
+        assert_eq!(metric(&svc, "sightings_ingested"), stats.sightings);
+        assert_eq!(metric(&svc, "profile_evictions"), stats.evictions);
         // The recovered profiles plan.
         let spec = PlanSpec::new(Delay::new(2).unwrap());
         let served = svc
@@ -1204,7 +1189,7 @@ mod tests {
         let error = degraded_error.expect("fault never fired");
         assert_eq!(error.code(), "degraded");
         assert!(svc.degraded());
-        assert_eq!(Metrics::get(&svc.metrics().degraded), 1);
+        assert_eq!(metric(&svc, "degraded"), 1);
         // Further observes are refused with the same stable code...
         assert_eq!(
             svc.observe(4, &[sighting("a", 0, 99.0)])
@@ -1234,14 +1219,10 @@ mod tests {
         }
         // The maintenance job runs asynchronously on the pool.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while Metrics::get(&svc.metrics().checkpoints) == 0 && std::time::Instant::now() < deadline
-        {
+        while metric(&svc, "checkpoints") == 0 && std::time::Instant::now() < deadline {
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        assert!(
-            Metrics::get(&svc.metrics().checkpoints) >= 1,
-            "checkpoint never ran"
-        );
+        assert!(metric(&svc, "checkpoints") >= 1, "checkpoint never ran");
         svc.shutdown();
         // The rotated snapshot is the recovery point.
         let names = mem.list(std::path::Path::new("/svc-data")).unwrap();
@@ -1261,6 +1242,6 @@ mod tests {
             .plan_devices(&["a"], Estimator::Empirical, Some(10_000.0), spec)
             .unwrap();
         assert_eq!(served.stale_profiles, 1);
-        assert_eq!(Metrics::get(&svc.metrics().stale_profiles_served), 1);
+        assert_eq!(svc.metrics().stale_profiles_served.get(), 1);
     }
 }
