@@ -20,8 +20,9 @@
 //! pick it up.
 //!
 //! On Linux the router is a [`Handler`] for the `pager-service`
-//! connection engine, which serves `pager-cluster launch`. `PING` frames and malformed or unknown frames are answered
-//! on the shard thread; every other request waits on backend sockets,
+//! connection engine, which serves `pager-cluster launch`. `PING`
+//! frames and malformed or unknown frames are answered on the shard
+//! thread; every other request waits on backend sockets,
 //! so it runs as a job on the engine's I/O pool. v2 `plan` frames are
 //! forwarded shard-ward *without* decoding the matrix: only the
 //! fixed-size header fields are viewed (for the routing fingerprint
