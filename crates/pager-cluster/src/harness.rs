@@ -223,7 +223,7 @@ impl Cluster {
             .get(node)
             .ok_or_else(|| format!("no node at index {node}"))?;
         let mut conn = Conn::connect(&target.addr, Duration::from_millis(2000))?;
-        conn.round_trip("{\"cmd\": \"node_info\"}")
+        conn.round_trip_checked("{\"cmd\": \"node_info\"}")
     }
 
     /// Routes one request line through the cluster.

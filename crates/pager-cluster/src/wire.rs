@@ -1,12 +1,10 @@
 //! Minimal client connection to one backend node.
 //!
-//! One TCP connection to a `pager-serve` node, speaking either
-//! protocol: write one v1 request line and read one response line
-//! ([`Conn::round_trip`]), the same line sealed in CRC-checked v2
-//! `JSON_REQ`/`JSON_RESP` frames ([`Conn::round_trip_checked`] — the
-//! router's default for internal traffic, so in-flight corruption is
-//! rejected instead of served), or write one v2 frame and read one
-//! response frame ([`Conn::round_trip_frame`]). Both directions carry
+//! One TCP connection to a `pager-serve` node, speaking v2 frames:
+//! one v1 request line sealed in CRC-checked `JSON_REQ`/`JSON_RESP`
+//! frames ([`Conn::round_trip_checked`], so in-flight corruption is
+//! rejected instead of served), or one v2 frame out and one response
+//! frame back ([`Conn::round_trip_frame`]). Both directions carry
 //! socket timeouts so a dead or wedged node surfaces as an error
 //! within the router's retry budget instead of hanging a client
 //! forever.
@@ -21,7 +19,7 @@
 //! cannot catch this case: the duplicate is a perfectly intact frame,
 //! just for a question that was already answered.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
@@ -75,27 +73,6 @@ impl Conn {
             writer: BufWriter::new(stream),
             txn: 0,
         })
-    }
-
-    /// Sends one request line and reads one response line, parsed as
-    /// JSON. Any transport or parse error poisons the connection (the
-    /// caller must drop it rather than return it to a pool: a timed-out
-    /// read may leave a half-delivered response in the stream).
-    pub fn round_trip(&mut self, line: &str) -> Result<Value, String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("write failed: {e}"))?;
-        let mut response = String::new();
-        let n = self
-            .reader
-            .read_line(&mut response)
-            .map_err(|e| format!("read failed: {e}"))?;
-        if n == 0 {
-            return Err("connection closed by peer".to_string());
-        }
-        jsonio::parse(response.trim_end()).map_err(|e| format!("bad response JSON: {e}"))
     }
 
     /// Sends one v1 request line sealed inside a checked v2
@@ -172,9 +149,10 @@ impl Conn {
     }
 
     /// Sends one complete v2 frame and reads one v2 response frame,
-    /// returning its `(op, payload)`. As with [`Conn::round_trip`],
-    /// any transport error (or a non-v2 answer) poisons the
-    /// connection and the caller must drop it instead of repooling.
+    /// returning its `(op, payload)`. Any transport error (or a non-v2
+    /// answer) poisons the connection: a timed-out read may leave a
+    /// half-delivered response in the stream, so the caller must drop
+    /// it instead of repooling.
     pub fn round_trip_frame(&mut self, frame_bytes: &[u8]) -> Result<(u8, Vec<u8>), String> {
         self.writer
             .write_all(frame_bytes)
@@ -243,16 +221,6 @@ impl Conn {
         stream
             .set_write_timeout(Some(timeout))
             .map_err(|e| format!("cannot set write timeout: {e}"))
-    }
-
-    /// Sends one line without waiting for a response (used for
-    /// best-effort broadcasts like `shutdown`).
-    pub fn send_only(&mut self, line: &str) -> Result<(), String> {
-        self.writer
-            .write_all(line.as_bytes())
-            .and_then(|()| self.writer.write_all(b"\n"))
-            .and_then(|()| self.writer.flush())
-            .map_err(|e| format!("write failed: {e}"))
     }
 }
 
