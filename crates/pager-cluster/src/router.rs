@@ -52,7 +52,9 @@ use pager_wire::{binary, json, ErrorCode, IdView, PlanFrameView, Request, WireEr
 use std::sync::Arc;
 
 #[cfg(target_os = "linux")]
-use pager_service::reactor_server::{Dispatch, Handler, Message, Replies, Reply, ReplyMode};
+use pager_service::reactor_server::{Dispatch, Handler, Message, Replies, Reply};
+#[cfg(target_os = "linux")]
+use pager_wire::ReplyMode;
 
 use crate::ring::ShardMap;
 use crate::ship::ShipCursors;

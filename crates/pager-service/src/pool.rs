@@ -31,45 +31,27 @@ use crate::{cache::ShardedCache, metrics::Metrics};
 /// Result fanned out to every subscriber of one computation.
 pub(crate) type PlanResult = Result<Arc<Plan>, ServiceError>;
 
-/// How one subscriber wants its result delivered.
-///
-/// A blocking caller ([`crate::PagerService::plan`]) parks in
-/// `Receiver::recv`, so it subscribes a channel. The connection
-/// engine must never block a shard thread, so it subscribes a callback which the worker (or the shedding
-/// submitter) invokes exactly once; the callback typically posts a
-/// completion to the shard's queue.
-pub(crate) enum Waiter {
-    Channel(mpsc::Sender<PlanResult>),
-    Callback {
-        complete: Box<dyn FnOnce(PlanResult, bool) + Send>,
-        /// Whether this subscriber joined an already in-flight
-        /// computation. Recorded at registration (under the in-flight
-        /// lock — the only place the answer is race-free) and handed
-        /// back to the callback.
-        coalesced: bool,
-    },
+/// How a subscriber takes delivery: called exactly once with the
+/// result and whether the subscriber coalesced onto in-flight work.
+/// A callback must not block the thread that runs it: the connection
+/// engine's callbacks post a completion to a shard's queue, and a
+/// blocking caller's callback sends on the channel it waits on.
+pub(crate) type Complete = Box<dyn FnOnce(PlanResult, bool) + Send>;
+
+/// One subscriber to a computation.
+struct Waiter {
+    complete: Complete,
+    /// Whether this subscriber joined an already in-flight
+    /// computation. Recorded at registration (under the in-flight
+    /// lock — the only place the answer is race-free) and handed back
+    /// to the callback.
+    coalesced: bool,
 }
 
 impl Waiter {
-    /// Delivers the result, consuming the waiter. A channel whose
-    /// receiver hung up is its own problem.
+    /// Delivers the result, consuming the waiter.
     fn deliver(self, result: &PlanResult) {
-        match self {
-            Waiter::Channel(tx) => {
-                let _ = tx.send(result.clone());
-            }
-            Waiter::Callback {
-                complete,
-                coalesced,
-            } => complete(result.clone(), coalesced),
-        }
-    }
-
-    /// Marks a waiter as having coalesced onto in-flight work.
-    fn coalesce(&mut self) {
-        if let Waiter::Callback { coalesced, .. } = self {
-            *coalesced = true;
-        }
+        (self.complete)(result.clone(), self.coalesced);
     }
 }
 
@@ -150,46 +132,12 @@ impl Dispatcher {
     }
 
     /// Submits a planning job, coalescing onto an identical in-flight
-    /// one when possible. Returns the channel the result will arrive
-    /// on and whether the request was coalesced.
-    ///
-    /// # Errors
-    ///
-    /// [`ServiceError::Overloaded`] when the bounded queue is full
-    /// (the request is shed, never queued); [`ServiceError::Internal`]
+    /// one when possible (counted in `Metrics::coalesced`). `complete`
+    /// is called exactly once: by the worker that runs the job, or
+    /// before this returns when the request is shed with
+    /// [`ServiceError::Overloaded`] (the bounded queue is full, so it
+    /// is never queued) or refused with [`ServiceError::Internal`]
     /// during shutdown.
-    pub(crate) fn submit(
-        &self,
-        key: PlanKey,
-        fingerprint: u64,
-        instance: Instance,
-        delay: Delay,
-        variant: Variant,
-        deadline: Deadline,
-    ) -> Result<(mpsc::Receiver<PlanResult>, bool), ServiceError> {
-        let (result_tx, result_rx) = mpsc::channel();
-        let coalesced = self.submit_waiter(
-            key,
-            fingerprint,
-            instance,
-            delay,
-            variant,
-            deadline,
-            Waiter::Channel(result_tx),
-        )?;
-        Ok((result_rx, coalesced))
-    }
-
-    /// [`Dispatcher::submit`] with an explicit [`Waiter`]: the
-    /// connection engine subscribes callbacks here so no thread ever blocks on
-    /// the result. Returns whether the waiter coalesced onto in-flight
-    /// work.
-    ///
-    /// # Errors
-    ///
-    /// As [`Dispatcher::submit`]; on `Err` the waiter *has already
-    /// been delivered* the same error (exactly once, via
-    /// `fail_waiters`), so callers must not complete it again.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn submit_waiter(
         &self,
@@ -199,24 +147,26 @@ impl Dispatcher {
         delay: Delay,
         variant: Variant,
         deadline: Deadline,
-        mut waiter: Waiter,
-    ) -> Result<bool, ServiceError> {
-        let coalesced = {
+        complete: Complete,
+    ) {
+        {
             let mut inflight = self
                 .inflight
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if let Some(waiters) = inflight.get_mut(&key) {
-                waiter.coalesce();
-                waiters.push(waiter);
-                true
-            } else {
-                inflight.insert(key.clone(), vec![waiter]);
-                false
+                self.metrics.coalesced.inc();
+                waiters.push(Waiter {
+                    complete,
+                    coalesced: true,
+                });
+                return;
             }
-        };
-        if coalesced {
-            return Ok(true);
+            let waiter = Waiter {
+                complete,
+                coalesced: false,
+            };
+            inflight.insert(key.clone(), vec![waiter]);
         }
         // Gauge before the offer: the moment the job lands in the
         // channel a worker may dequeue it and run the matching `dec`,
@@ -249,30 +199,27 @@ impl Dispatcher {
                 },
             }
         };
-        match outcome {
-            Enqueue::Accepted => Ok(false),
+        let error = match outcome {
+            Enqueue::Accepted => return,
             Enqueue::Full => {
-                // Shed: un-register and fail everyone who coalesced
-                // onto this key between our insert and now, so nobody
-                // waits on a computation that will never run.
                 self.metrics.queue_depth.dec();
+                self.metrics.requests_shed.inc();
                 // The hint tracks the observed queue wait: a shed
                 // client retrying sooner than the median wait would
                 // only rejoin the very backlog that shed it.
-                let error = ServiceError::Overloaded {
+                ServiceError::Overloaded {
                     retry_after_ms: self.metrics.retry_hint_ms(),
-                };
-                self.metrics.requests_shed.inc();
-                self.fail_waiters(&key, &error);
-                Err(error)
+                }
             }
             Enqueue::Closed => {
                 self.metrics.queue_depth.dec();
-                let error = ServiceError::Internal("service is shutting down".into());
-                self.fail_waiters(&key, &error);
-                Err(error)
+                ServiceError::Internal("service is shutting down".into())
             }
-        }
+        };
+        // Un-register and fail everyone who coalesced onto this key
+        // between our insert and now, so nobody waits on a computation
+        // that will never run.
+        self.fail_waiters(&key, &error);
     }
 
     /// Offers a one-off maintenance closure (e.g. a snapshot

@@ -52,7 +52,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pager_reactor::{Event, Interest, Reactor, Remote, TimerId, Turn, Waker};
-use pager_wire::frame::{self, op, Split};
+use pager_wire::frame::{self, Split};
 
 /// Registration token for the shared listener (the reactor reserves
 /// `u64::MAX` for its waker).
@@ -165,40 +165,6 @@ pub trait Handler: Send + Sync + 'static {
 
     /// A request was still in flight when its watchdog budget ran out.
     fn watchdog_fired(&self) {}
-}
-
-/// How a line-shaped response leaves the wire: as a bare v1 line or
-/// wrapped in a checked v2 JSON response frame (op `0x7F`), matching
-/// how the request arrived.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ReplyMode {
-    /// A newline-terminated v1 line.
-    Line,
-    /// A `JSON_RESP` frame with a CRC trailer.
-    JsonFrame,
-}
-
-impl ReplyMode {
-    /// Appends `line` to `out` in this mode's framing.
-    pub fn append(self, out: &mut Vec<u8>, line: &str) {
-        match self {
-            ReplyMode::Line => {
-                out.extend_from_slice(line.as_bytes());
-                out.push(b'\n');
-            }
-            ReplyMode::JsonFrame => {
-                frame::write_checked_frame(out, op::JSON_RESP, line.as_bytes());
-            }
-        }
-    }
-
-    /// `line` as owned wire bytes in this mode's framing.
-    #[must_use]
-    pub fn package(self, line: &str) -> Vec<u8> {
-        let mut bytes = Vec::with_capacity(line.len() + frame::HEADER_LEN);
-        self.append(&mut bytes, line);
-        bytes
-    }
 }
 
 /// A deferred answer on its way back to a shard.
@@ -1103,6 +1069,7 @@ mod tests {
     use crate::service::{PagerService, ServiceConfig};
     use jsonio::Value;
     use pager_core::Instance;
+    use pager_wire::frame::op;
     use pager_wire::{binary, PlanSpec};
     use std::io::{BufRead, BufReader};
     use std::net::TcpStream;

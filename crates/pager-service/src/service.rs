@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use pager_core::Instance;
 use pager_profiles::io::{DiskIo, StorageIo};
@@ -16,7 +16,7 @@ use crate::deadline::Deadline;
 use crate::error::ServiceError;
 use crate::metrics::{Metric, Metrics};
 use crate::planner::{plan, Plan, TierPolicy, Variant};
-use crate::pool::{Dispatcher, Waiter};
+use crate::pool::Dispatcher;
 
 /// The full cache key: quantised probabilities plus everything else
 /// that changes the answer. Two requests with equal keys are served
@@ -532,49 +532,9 @@ impl PagerService {
         })
     }
 
-    /// Cacheable path shared by matrix and profile-driven requests:
-    /// cache lookup, then dispatch with in-flight coalescing and
-    /// bounded-queue admission.
-    fn plan_via_cache(
-        &self,
-        key: PlanKey,
-        fingerprint: u64,
-        instance: &Instance,
-        spec: &PlanSpec,
-        deadline: Deadline,
-    ) -> Result<PlanResponse, ServiceError> {
-        if let Some(hit) = self.cache.get(fingerprint, &key) {
-            self.metrics.cache_hits.inc();
-            return Ok(PlanResponse {
-                plan: hit,
-                cached: true,
-                coalesced: false,
-            });
-        }
-        self.metrics.cache_misses.inc();
-        let (rx, coalesced) = self.dispatcher.submit(
-            key,
-            fingerprint,
-            instance.clone(),
-            spec.delay(),
-            spec.variant(),
-            deadline,
-        )?;
-        if coalesced {
-            self.metrics.coalesced.inc();
-        }
-        let result = rx
-            .recv()
-            .map_err(|_| ServiceError::Internal("worker pool dropped the request".into()))?;
-        result.map(|plan| PlanResponse {
-            plan,
-            cached: false,
-            coalesced,
-        })
-    }
-
     /// Plans a strategy, serving from the cache or an identical
-    /// in-flight computation when possible.
+    /// in-flight computation when possible: [`PagerService::plan_async`]
+    /// with the calling thread blocked until the answer arrives.
     ///
     /// # Errors
     ///
@@ -584,13 +544,7 @@ impl PagerService {
     /// the deadline expired on a non-degradable tier;
     /// [`ServiceError::Internal`] when called during shutdown.
     pub fn plan(&self, instance: &Instance, spec: PlanSpec) -> Result<PlanResponse, ServiceError> {
-        self.metrics.requests.inc();
-        let deadline = self.admit(&spec);
-        if !spec.cache_enabled() {
-            return self.plan_inline(instance, &spec, deadline);
-        }
-        let (key, fingerprint) = self.derive_key(instance, &spec, 0, &[]);
-        self.plan_via_cache(key, fingerprint, instance, &spec, deadline)
+        wait(|complete| self.plan_async(instance, spec, complete))
     }
 
     /// Probes the strategy cache straight from a borrowed v2 plan
@@ -634,11 +588,12 @@ impl PagerService {
         })
     }
 
-    /// [`PagerService::plan`] without blocking the calling thread:
-    /// `complete` is invoked exactly once — synchronously on this
-    /// thread for cache hits, shed requests and inline (uncacheable)
-    /// work, or later on a worker thread when the job was enqueued or
-    /// coalesced. The connection engine's shards live on this.
+    /// Plans a strategy without blocking the calling thread — the one
+    /// admission path every plan takes. `complete` is invoked exactly
+    /// once, with the answer or one of the errors listed at
+    /// [`PagerService::plan`]: synchronously on this thread for cache
+    /// hits, shed requests and inline (uncacheable) work, or later on
+    /// a worker thread when the job was enqueued or coalesced.
     pub fn plan_async(
         &self,
         instance: &Instance,
@@ -655,11 +610,11 @@ impl PagerService {
         self.plan_via_cache_async(key, fingerprint, instance, &spec, deadline, complete);
     }
 
-    /// Cacheable async path shared by [`PagerService::plan_async`] and
-    /// [`PagerService::plan_devices_async`]. Exactly-once delivery
-    /// relies on the dispatcher contract: `submit_waiter` either keeps
-    /// the waiter (worker delivers) or fails it before returning
-    /// `Err`.
+    /// Cacheable path shared by matrix and profile-driven requests:
+    /// cache lookup, then dispatch with in-flight coalescing and
+    /// bounded-queue admission. Exactly-once delivery is the
+    /// dispatcher's contract: `submit_waiter` hands `complete` to a
+    /// worker or fails it before returning.
     fn plan_via_cache_async(
         &self,
         key: PlanKey,
@@ -679,31 +634,21 @@ impl PagerService {
             return;
         }
         self.metrics.cache_misses.inc();
-        let waiter = Waiter::Callback {
-            complete: Box::new(move |result, coalesced| {
-                complete(result.map(|plan| PlanResponse {
-                    plan,
-                    cached: false,
-                    coalesced,
-                }));
-            }),
-            coalesced: false,
-        };
-        match self.dispatcher.submit_waiter(
+        self.dispatcher.submit_waiter(
             key,
             fingerprint,
             instance.clone(),
             spec.delay(),
             spec.variant(),
             deadline,
-            waiter,
-        ) {
-            Ok(true) => self.metrics.coalesced.inc(),
-            Ok(false) => {}
-            // The dispatcher already delivered the error to the
-            // waiter (shed accounting included) — nothing more here.
-            Err(_) => {}
-        }
+            Box::new(move |result, coalesced| {
+                complete(result.map(|plan| PlanResponse {
+                    plan,
+                    cached: false,
+                    coalesced,
+                }));
+            }),
+        );
     }
 
     /// Ingests a batch of sightings into the profile store, returning
@@ -757,7 +702,9 @@ impl PagerService {
         }
     }
 
-    /// Plans a strategy for named devices out of the profile store.
+    /// Plans a strategy for named devices out of the profile store:
+    /// [`PagerService::plan_devices_async`] with the calling thread
+    /// blocked until the answer arrives.
     ///
     /// The per-device profile versions join the cache key and its
     /// fingerprint, so a sighting ingested between two otherwise
@@ -776,46 +723,14 @@ impl PagerService {
         now: Option<Time>,
         spec: PlanSpec,
     ) -> Result<DevicePlanResponse, ServiceError> {
-        self.metrics.requests.inc();
-        let deadline = self.admit(&spec);
-        let now = now.or_else(|| self.profiles.latest_time()).ok_or_else(|| {
-            self.metrics.errors.inc();
-            ServiceError::BadRequest("store has no sightings and no \"now\" was given".into())
-        })?;
-        let (instance, versions, staleness) = self
-            .profiles
-            .instance_for(devices, estimator, Some(now))
-            .map_err(|e| {
-                self.metrics.errors.inc();
-                ServiceError::BadRequest(e)
-            })?;
-        let stale_profiles = staleness.iter().filter(|&&lambda| lambda < 0.5).count();
-        if stale_profiles > 0 {
-            self.metrics
-                .stale_profiles_served
-                .add(stale_profiles as u64);
-        }
-        let response = if spec.cache_enabled() {
-            // Estimator tag 0 is reserved for matrix requests.
-            let (key, fingerprint) =
-                self.derive_key(&instance, &spec, estimator.tag() + 1, &versions);
-            self.plan_via_cache(key, fingerprint, &instance, &spec, deadline)?
-        } else {
-            self.plan_inline(&instance, &spec, deadline)?
-        };
-        Ok(DevicePlanResponse {
-            response,
-            versions,
-            stale_profiles,
-            now,
-        })
+        wait(|complete| self.plan_devices_async(devices, estimator, now, spec, complete))
     }
 
     /// [`PagerService::plan_devices`] without blocking the calling
     /// thread; same exactly-once `complete` contract as
     /// [`PagerService::plan_async`]. Profile resolution (cheap, pure
-    /// in-memory) still happens on the calling thread; only the solve
-    /// is deferred.
+    /// in-memory) happens on the calling thread; only the solve is
+    /// deferred.
     pub fn plan_devices_async(
         &self,
         devices: &[&str],
@@ -851,7 +766,10 @@ impl PagerService {
                 .stale_profiles_served
                 .add(stale_profiles as u64);
         }
-        let key_versions = versions.clone();
+        // Estimator tag 0 is reserved for matrix requests.
+        let cache_key = spec
+            .cache_enabled()
+            .then(|| self.derive_key(&instance, &spec, estimator.tag() + 1, &versions));
         let wrap = move |result: Result<PlanResponse, ServiceError>| {
             complete(result.map(|response| DevicePlanResponse {
                 response,
@@ -860,12 +778,16 @@ impl PagerService {
                 now,
             }));
         };
-        if spec.cache_enabled() {
-            let (key, fingerprint) =
-                self.derive_key(&instance, &spec, estimator.tag() + 1, &key_versions);
-            self.plan_via_cache_async(key, fingerprint, &instance, &spec, deadline, Box::new(wrap));
-        } else {
-            wrap(self.plan_inline(&instance, &spec, deadline));
+        match cache_key {
+            Some((key, fingerprint)) => self.plan_via_cache_async(
+                key,
+                fingerprint,
+                &instance,
+                &spec,
+                deadline,
+                Box::new(wrap),
+            ),
+            None => wrap(self.plan_inline(&instance, &spec, deadline)),
         }
     }
 
@@ -886,6 +808,20 @@ impl PagerService {
             let _ = durable.flush();
         }
     }
+}
+
+/// Runs `start` with a completion callback and blocks until the
+/// callback has been called.
+fn wait<T: Send + 'static>(
+    start: impl FnOnce(Box<dyn FnOnce(Result<T, ServiceError>) + Send>),
+) -> Result<T, ServiceError> {
+    let (tx, rx) = mpsc::channel();
+    start(Box::new(move |result| {
+        // The receiver outlives this call; a send cannot fail.
+        let _ = tx.send(result);
+    }));
+    rx.recv()
+        .map_err(|_| ServiceError::Internal("worker pool dropped the request".into()))?
 }
 
 #[cfg(test)]

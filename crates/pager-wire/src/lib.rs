@@ -39,7 +39,7 @@ mod request;
 mod response;
 
 pub use binary::{IdView, PlanFrameView};
-pub use codec::{BinaryCodec, Codec, JsonCodec};
+pub use codec::{BinaryCodec, Codec, JsonCodec, ReplyMode};
 pub use error::{ErrorCode, WireError};
 pub use request::{PlanSpec, Request, RoutedRequest, Variant};
 pub use response::{DeviceExt, ErrorBody, PlanBody, Response};

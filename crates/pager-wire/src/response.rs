@@ -61,9 +61,9 @@ pub struct ErrorBody<'a> {
     pub retry_after_ms: Option<u64>,
 }
 
-/// One response, typed. Control answers (metrics, node info, WAL
-/// ops, ...) carry their op-specific fields as ordered pairs — they
-/// are cold-path and ride the JSON encoding on both protocols.
+/// One response, typed. Control answers (ping, metrics, node info,
+/// WAL ops, ...) carry their op-specific fields as ordered pairs —
+/// they are cold-path and ride the JSON encoding on both protocols.
 #[derive(Debug)]
 pub enum Response<'a> {
     /// A `plan` answer.
@@ -72,8 +72,11 @@ pub enum Response<'a> {
     DevicePlan(PlanBody<'a>, DeviceExt<'a>),
     /// An error answer.
     Error(ErrorBody<'a>),
-    /// A `ping` answer.
-    Pong,
     /// Any other `{"ok": true, ...}` answer, field order preserved.
-    Control(Vec<(&'static str, Value)>),
+    Control {
+        /// Opaque id echoed from the request (omitted when `Null`).
+        id: &'a Value,
+        /// The op's fields.
+        fields: Vec<(&'static str, Value)>,
+    },
 }
